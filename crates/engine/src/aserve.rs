@@ -17,16 +17,13 @@
 //! permit for every admitted frame — once the window is full it simply
 //! stops reading, letting the kernel socket buffer (and eventually the
 //! client's own send path) absorb the excess. A client can neither flood
-//! the admission queue nor starve other connections; it throttles itself,
-//! which is exactly the contract the old blocking [`CacheServer::submit`]
-//! gave in-process callers.
+//! the admission queue nor starve other connections; it throttles itself.
 //!
-//! The in-process transport keeps that legacy contract verbatim:
+//! The in-process transport gives embedders the same contract:
 //! [`AsyncCacheServer::submit`] blocks the submitting thread while
 //! `max_pending` batches are in flight (counting a
 //! [`TenantStats::admission_waits`] when it does) and returns a
-//! [`BatchTicket`] resolving to the answers. [`CacheServer`] is a thin
-//! wrapper over exactly this path.
+//! [`BatchTicket`] resolving to the answers.
 //!
 //! ## Graceful drain
 //!
@@ -72,8 +69,7 @@ use crate::obs::{wire_alerts, wire_history, wire_metrics, wire_traces};
 use crate::shard::{CacheAnswer, Route, ShardedViewCache, UpdateReport};
 use crate::tenants::{TenantRegistry, TenantStats};
 
-/// Default bound on in-flight + queued in-process batches (the legacy
-/// admission-queue bound).
+/// Default bound on in-flight + queued in-process batches.
 pub const DEFAULT_MAX_PENDING: usize = 1024;
 
 /// Default per-connection credit window (max unacknowledged frames).
@@ -95,8 +91,8 @@ impl std::fmt::Display for BatchRejected {
 impl std::error::Error for BatchRejected {}
 
 /// A pending batch: resolve it with [`BatchTicket::wait`] (panics on
-/// rejection, the legacy contract) or [`BatchTicket::wait_result`]
-/// (reports rejection, the drain-aware contract).
+/// rejection) or [`BatchTicket::wait_result`] (reports rejection, the
+/// drain-aware contract).
 #[must_use = "a submitted batch is only observable through its ticket"]
 pub struct BatchTicket {
     rx: Option<mpsc::Receiver<Vec<CacheAnswer>>>,
@@ -136,7 +132,7 @@ struct ServerShared {
     tenants: TenantRegistry,
     /// Per-connection credit window granted at handshake.
     conn_window: AtomicU32,
-    /// In-process admission bound (the legacy `max_pending`).
+    /// In-process admission bound (`max_pending`).
     local_window: Semaphore,
     /// Broadcast shutdown signal: listeners and connection readers race
     /// their I/O against it.
@@ -698,46 +694,25 @@ async fn serve_connection(shared: &Arc<ServerShared>, runtime: &Arc<Runtime>, st
                         span.mark_us(Phase::Admission, waited.as_micros() as u64);
                     }
                     // Stream the Answers frame straight into its byte
-                    // buffer from the engine's own node slices — no
-                    // WireAnswer clones on the hot response path. On the
-                    // arena lane (the default) the node runs live in one
-                    // per-batch bump arena and the encoder reads them as
-                    // borrowed slices; `--no-arena` falls back to the
-                    // owned-`Vec` API (identical bytes, one `Vec` per
-                    // answer).
-                    let body = if shared.cache.arena_enabled() {
-                        let mut arena = AnswerArena::new();
-                        let answers =
-                            shared.cache.answer_batch_refs_spanned(&queries, &mut span, &mut arena);
-                        shared.tenants.account_batch_refs(&tenant, &answers);
-                        let encode_started = Instant::now();
-                        let mut enc = AnswersEncoder::new(id);
-                        for a in &answers {
-                            enc.answer(wire_route_ref(&a.route), arena.get(a.nodes));
-                        }
-                        let body = enc.finish();
-                        let encoded = encode_started.elapsed();
-                        shared.cache.obs.encode_us.record_duration(encoded);
-                        if span.is_enabled() {
-                            span.mark_us(Phase::Encode, encoded.as_micros() as u64);
-                        }
-                        body
-                    } else {
-                        let answers = shared.cache.answer_batch_spanned(&queries, &mut span);
-                        shared.tenants.account_batch(&tenant, &answers);
-                        let encode_started = Instant::now();
-                        let mut enc = AnswersEncoder::new(id);
-                        for a in &answers {
-                            enc.answer(wire_route_ref(&a.route), &a.nodes);
-                        }
-                        let body = enc.finish();
-                        let encoded = encode_started.elapsed();
-                        shared.cache.obs.encode_us.record_duration(encoded);
-                        if span.is_enabled() {
-                            span.mark_us(Phase::Encode, encoded.as_micros() as u64);
-                        }
-                        body
-                    };
+                    // buffer from the engine's own node slices: the node
+                    // runs live in one per-batch bump arena and the
+                    // encoder reads them as borrowed slices — no
+                    // WireAnswer clones on the hot response path.
+                    let mut arena = AnswerArena::new();
+                    let answers =
+                        shared.cache.answer_batch_refs_spanned(&queries, &mut span, &mut arena);
+                    shared.tenants.account_batch_refs(&tenant, &answers);
+                    let encode_started = Instant::now();
+                    let mut enc = AnswersEncoder::new(id);
+                    for a in &answers {
+                        enc.answer(wire_route_ref(&a.route), arena.get(a.nodes));
+                    }
+                    let body = enc.finish();
+                    let encoded = encode_started.elapsed();
+                    shared.cache.obs.encode_us.record_duration(encoded);
+                    if span.is_enabled() {
+                        span.mark_us(Phase::Encode, encoded.as_micros() as u64);
+                    }
                     push_body(&shared, &conn_for_task, id, body, span);
                     conn_for_task.window.release();
                 });
@@ -912,6 +887,85 @@ mod tests {
         for (q, a) in qs.iter().zip(&answers) {
             assert_eq!(a.nodes, server.cache().answer_direct(q), "order broken for {q}");
         }
+    }
+
+    #[test]
+    fn concurrent_submissions_from_many_tenants() {
+        let server = Arc::new(server(4));
+        let qs = vec![pat("site/region/item/name"), pat("site/region/item")];
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let server = Arc::clone(&server);
+                let qs = qs.clone();
+                scope.spawn(move || {
+                    let tenant = format!("tenant-{t}");
+                    for _ in 0..5 {
+                        let answers = server.answer_batch(&tenant, qs.clone());
+                        assert_eq!(answers.len(), qs.len());
+                    }
+                });
+            }
+        });
+        let tenants = server.tenants();
+        assert_eq!(tenants.len(), 4);
+        for (name, stats) in tenants {
+            assert_eq!(stats.batches, 5, "{name}");
+            assert_eq!(stats.queries, 10, "{name}");
+            assert_eq!(stats.view_hits + stats.direct, stats.queries, "{name}");
+        }
+        assert_eq!(server.cache().stats().queries, 40);
+    }
+
+    #[test]
+    fn drop_completes_pending_work() {
+        let server = server(1);
+        let q = pat("site/region/item/name");
+        let tickets: Vec<BatchTicket> =
+            (0..4).map(|_| server.submit("t", vec![q.clone()])).collect();
+        drop(server);
+        // The drain completes every admitted batch before stopping.
+        for ticket in tickets {
+            assert_eq!(ticket.wait().len(), 1);
+        }
+    }
+
+    #[test]
+    fn tenant_stats_display() {
+        let server = server(1);
+        // A slice submission is copied into the batch.
+        let _ = server.answer_batch("acme", &[pat("site/region/item/name")]);
+        let stats = server.tenant_stats("acme").unwrap();
+        let line = stats.to_string();
+        assert!(line.contains("queries=1"), "got: {line}");
+        assert!(line.contains("batches=1"), "got: {line}");
+        // Display renders the same enumeration `visit` exposes.
+        stats.visit(&mut |name, _| {
+            assert!(line.contains(&format!("{name}=")), "{name} missing from: {line}");
+        });
+        assert!(!line.contains('\n'));
+    }
+
+    #[test]
+    fn in_process_updates_are_applied_and_accounted() {
+        let server = server(2);
+        let q = pat("site/region/item/name");
+        let before = server.answer_batch("writer", std::slice::from_ref(&q));
+        let doc = server.cache().document();
+        let region = doc.children(doc.root())[0];
+        let graft = TreeBuilder::root("item", |b| {
+            b.leaf("name");
+        });
+        let report = server
+            .apply_edits("writer", &[Edit::InsertSubtree { parent: region, subtree: graft }])
+            .expect("valid edit");
+        assert_eq!(report.edits_applied, 1);
+        let after = server.answer_batch("writer", std::slice::from_ref(&q));
+        assert_eq!(after[0].nodes.len(), before[0].nodes.len() + 1);
+        assert_eq!(after[0].nodes, server.cache().answer_direct(&q));
+        let stats = server.tenant_stats("writer").expect("accounted");
+        assert_eq!(stats.updates_applied, 1);
+        assert_eq!(stats.views_refreshed_incrementally, 1);
+        assert_eq!(stats.batches, 2);
     }
 
     #[test]

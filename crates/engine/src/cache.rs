@@ -18,8 +18,8 @@
 //! [`ShardedViewCache`](crate::ShardedViewCache): identical planning, plan
 //! memo, statistics, and answers, with the familiar `&mut self` API and no
 //! locking overhead beyond one uncontended shard. Use `ShardedViewCache`
-//! (or the [`CacheServer`](crate::CacheServer) worker pool) when multiple
-//! threads must answer concurrently.
+//! (or the [`AsyncCacheServer`](crate::AsyncCacheServer) worker pool) when
+//! multiple threads must answer concurrently.
 //!
 //! ## Amortization under repeated traffic
 //!
@@ -94,8 +94,7 @@ impl ViewCache {
         self
     }
 
-    /// Enables or disables multi-view **intersection routes** (the
-    /// `--no-intersect` ablation knob); see
+    /// Enables or disables multi-view **intersection routes**; see
     /// [`ShardedViewCache::set_intersect_enabled`] for the memo effects.
     pub fn set_intersect_enabled(&mut self, enabled: bool) {
         self.inner.set_intersect_enabled(enabled);
@@ -106,23 +105,10 @@ impl ViewCache {
         self.inner.intersect_enabled()
     }
 
-    /// Enables or disables the plan-miss **signature fast path** (the
-    /// `--no-sig-filter` ablation knob); see
-    /// [`ShardedViewCache::set_sig_filter_enabled`] — routes and answers
-    /// are identical either way.
-    pub fn set_sig_filter_enabled(&mut self, enabled: bool) {
-        self.inner.set_sig_filter_enabled(enabled);
-    }
-
-    /// Whether plan misses pre-filter candidates by signature.
-    pub fn sig_filter_enabled(&self) -> bool {
-        self.inner.sig_filter_enabled()
-    }
-
     /// Enables or disables **all** memoization — the plan memo and the
-    /// session oracle's verdict/homomorphism memos. This is the ablation
-    /// knob the throughput bench flips to measure what sharing buys;
-    /// disabling clears every memo so a re-enable starts cold.
+    /// session oracle's verdict/homomorphism memos (the ablation knob that
+    /// measures what sharing buys); disabling clears every memo so a
+    /// re-enable starts cold.
     pub fn set_memo_enabled(&mut self, enabled: bool) {
         self.inner.set_memo_enabled(enabled);
     }
@@ -152,45 +138,6 @@ impl ViewCache {
     /// The number of successful [`ViewCache::apply_edits`] batches so far.
     pub fn doc_version(&self) -> u64 {
         self.inner.doc_version()
-    }
-
-    /// Enables or disables incremental maintenance under
-    /// [`ViewCache::apply_edits`] (disabled = full re-materialization, the
-    /// update-bench baseline).
-    pub fn set_incremental_maintenance(&mut self, enabled: bool) {
-        self.inner.set_incremental_maintenance(enabled);
-    }
-
-    /// Whether `apply_edits` maintains views incrementally.
-    pub fn incremental_maintenance(&self) -> bool {
-        self.inner.incremental_maintenance()
-    }
-
-    /// Enables or disables batch coalescing under incremental maintenance
-    /// (disabled = the legacy per-edit path, the `--no-coalesce` ablation).
-    pub fn set_coalesce_enabled(&mut self, enabled: bool) {
-        self.inner.set_coalesce_enabled(enabled);
-    }
-
-    /// Whether incremental maintenance coalesces edit batches.
-    pub fn coalesce_enabled(&self) -> bool {
-        self.inner.coalesce_enabled()
-    }
-
-    /// Enables or disables the parallel region fan-out
-    /// (the `--no-parallel-regions` ablation).
-    pub fn set_parallel_regions(&mut self, enabled: bool) {
-        self.inner.set_parallel_regions(enabled);
-    }
-
-    /// Whether region scans fan out across worker threads.
-    pub fn parallel_regions(&self) -> bool {
-        self.inner.parallel_regions()
-    }
-
-    /// Sets the region fan-out worker count (`0` = auto).
-    pub fn set_region_workers(&mut self, workers: usize) {
-        self.inner.set_region_workers(workers);
     }
 
     /// The concurrent cache this wrapper drives (one shard). Useful for
@@ -283,7 +230,8 @@ impl ViewCache {
         self.inner.answer_batch_refs(queries, arena)
     }
 
-    /// Answers `query` by direct evaluation only (baseline for benchmarks).
+    /// Answers `query` by direct evaluation on the `Tree` reference
+    /// evaluator (the oracle the test suites compare against).
     pub fn answer_direct(&self, query: &Pattern) -> Vec<NodeId> {
         self.inner.answer_direct(query)
     }

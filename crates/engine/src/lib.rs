@@ -17,34 +17,43 @@
 //!   lock shards by query fingerprint; every serving method takes `&self`.
 //!   Planning flows through one shared [`xpv_core::PlanningSession`] whose
 //!   containment oracle is itself sharded and `&self`-safe, so all threads
-//!   pool all coNP work. Queries no single view can answer are routed
-//!   through **multi-view intersections** (`xpv-intersect`,
-//!   [`Route::Intersect`]): a small view subset whose node-set intersection
-//!   supports a verified compensation serves them jointly. The memo is
-//!   LRU-bounded ([`ShardedViewCache::with_memo_cap`]); `add_view`
-//!   invalidates only the entries whose plan depends on the grown pool, and
-//!   `remove_view` / `replace_view` only those whose participants the
-//!   removal touches — answers are byte-identical to the single-threaded
-//!   cache on any schedule.
+//!   pool all coNP work, and plan misses dismiss most pool candidates by
+//!   view signature before any oracle call. Queries no single view can
+//!   answer are routed through **multi-view intersections**
+//!   (`xpv-intersect`, [`Route::Intersect`]): a small view subset whose
+//!   node-set intersection supports a verified compensation serves them
+//!   jointly. Every route evaluates through one fused flat evaluator per
+//!   batch and writes its nodes into a caller-supplied
+//!   [`xpv_model::AnswerArena`] ([`ShardedViewCache::answer_batch_refs`]);
+//!   `answer` and `answer_batch` are owned-`Vec` conveniences over it.
+//!   Document edits ([`ShardedViewCache::apply_edits`]) are maintained as
+//!   one coalesced batch whose disjoint regions fan out across at most one
+//!   thread per core. The memo is LRU-bounded
+//!   ([`ShardedViewCache::with_memo_cap`]); `add_view` invalidates only the
+//!   entries whose plan depends on the grown pool, and `remove_view` /
+//!   `replace_view` only those whose participants the removal touches —
+//!   answers are byte-identical to the single-threaded cache on any
+//!   schedule. The remaining runtime knobs (`set_memo_enabled`,
+//!   `set_intersect_enabled`, `set_policy`) change what is planned or
+//!   shared, never the answers.
 //! * [`ViewCache`] (**[`cache`]**) — the familiar single-threaded API, now
 //!   a thin wrapper over one shard: same planning, memo, stats, and
 //!   answers, with `&mut self` ergonomics and no cross-thread traffic.
 //! * [`AsyncCacheServer`] (**[`aserve`]**) — the service front-end: any
 //!   number of wire-protocol connections (TCP / Unix-domain, via the
-//!   `xpv-net` reactor) plus the in-process transport, multiplexed onto a
-//!   fixed CPU worker pool over one shared `ShardedViewCache`. Idle
-//!   connections are suspended tasks, not pinned threads; admission is
-//!   credit-based per connection (see the `xpv-net` crate docs for the
-//!   wire protocol and backpressure spec); per-tenant accounting
-//!   ([`TenantStats`]) and graceful drain are built in.
-//! * [`CacheServer`] (**[`serve`]**) — the synchronous façade kept for
-//!   in-process embedders: the old blocking-submit worker-pool API as a
-//!   thin wrapper over `AsyncCacheServer`'s in-process transport.
+//!   `xpv-net` reactor) plus the blocking in-process transport
+//!   ([`AsyncCacheServer::submit`]), multiplexed onto a fixed CPU worker
+//!   pool over one shared `ShardedViewCache`. Idle connections are
+//!   suspended tasks, not pinned threads; admission is credit-based per
+//!   connection (see the `xpv-net` crate docs for the wire protocol and
+//!   backpressure spec) and bounded by `max_pending` in process;
+//!   per-tenant accounting ([`TenantStats`]) and graceful drain are built
+//!   in.
 //!
 //! Pick the innermost layer that fits: library callers embedding a cache in
 //! one thread use `ViewCache`; multi-threaded embedders share a
-//! `ShardedViewCache`; in-process services front it with `CacheServer`;
-//! network services with `AsyncCacheServer`.
+//! `ShardedViewCache`; services, in-process or networked, front it with
+//! `AsyncCacheServer`.
 //!
 //! ## Observability
 //!
@@ -65,7 +74,6 @@
 pub mod aserve;
 pub mod cache;
 pub mod obs;
-pub mod serve;
 pub mod shard;
 pub mod tenants;
 pub mod view;
@@ -76,7 +84,6 @@ pub use aserve::{
 };
 pub use cache::ViewCache;
 pub use obs::{metrics_from_wire, wire_alerts, wire_history, wire_metrics, wire_traces};
-pub use serve::CacheServer;
 pub use shard::{
     CacheAnswer, CacheAnswerRef, CacheStats, ChoicePolicy, Route, ShardedViewCache, UpdateReport,
     ViewId, DEFAULT_CACHE_SHARDS,

@@ -2,8 +2,8 @@
 //!
 //! [`ShardedViewCache`] is the shared-state engine behind both the
 //! single-threaded [`ViewCache`](crate::ViewCache) wrapper (one shard) and
-//! the [`CacheServer`](crate::CacheServer) worker pool (many threads over
-//! one cache). Every serving method takes **`&self`**:
+//! the [`AsyncCacheServer`](crate::AsyncCacheServer) worker pool (many
+//! threads over one cache). Every serving method takes **`&self`**:
 //!
 //! * the **view pool** is a copy-on-write snapshot
 //!   (`RwLock<Arc<Vec<MaterializedView>>>`): answering threads clone the
@@ -76,17 +76,13 @@ use xpv_intersect::{
     plan_intersection_sig, IntersectConfig,
 };
 use xpv_maintain::{
-    apply_region_results, coalesce_plan, finalize_deltas, maintain_views, prepare_batch,
-    region_answers, CoalescedPlan, Edit, EditError, MaintainMode, MaintainStats, RegionTask,
-    SubMatcher, ViewDelta,
+    apply_region_results, coalesce_plan, finalize_deltas, prepare_batch, Edit, EditError,
+    MaintainStats, RegionTask, ViewDelta,
 };
 use xpv_model::{AnswerArena, AnswerRef, BitSet, FlatTree, NodeId, Tree};
 use xpv_obs::{Heartbeat, Histogram, MetricsSnapshot, Phase, Registry, Span};
 use xpv_pattern::{Pattern, PatternKey, QuerySignature, ViewSignature};
-use xpv_semantics::{
-    evaluate, evaluate_anchored, evaluate_anchored_flat, evaluate_flat, region_answers_flat,
-    BatchEval,
-};
+use xpv_semantics::{evaluate, region_answers_flat, BatchEval};
 
 use crate::view::MaterializedView;
 
@@ -441,26 +437,91 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Scans one merged region for one view — the unit of work the parallel
-/// fan-out stripes across scoped threads. Flat path: masked word-parallel
-/// matching against the shared post-batch freeze; tree path: the
-/// `region_answers` reference walk (kept as the `--no-flat` ablation arm
-/// and property-test oracle). Both return the fresh in-region answers and
-/// the region's live-subtree mask.
-fn scan_region(
-    task: RegionTask,
-    plan: &CoalescedPlan,
+/// Scans every merged region task against the post-batch freeze
+/// (masked word-parallel matching, one `(answers, live-subtree mask)` pair
+/// per task) across at most `width` scoped threads. Static striping —
+/// worker `w` owns tasks `w, w+W, w+2W, …` — and results indexed by task,
+/// so the output is in task order whatever the schedule. Returns the
+/// width actually used: `1` (serial, no thread spawned) when `width` or
+/// the task count is below two.
+fn scan_regions(
+    tasks: &[RegionTask],
     defs: &[&Pattern],
-    doc: &Tree,
     flat: &FlatTree,
-    use_flat: bool,
-) -> (Vec<NodeId>, BitSet) {
-    if use_flat {
-        region_answers_flat(defs[task.view], flat, task.root)
-    } else {
-        let mut m = SubMatcher::new(defs[task.view], doc);
-        region_answers(&plan.infos[task.view], doc, task.root, &mut m)
+    width: usize,
+) -> (Vec<(Vec<NodeId>, BitSet)>, usize) {
+    let scan = |task: &RegionTask| region_answers_flat(defs[task.view], flat, task.root);
+    let width = width.min(tasks.len());
+    if width < 2 {
+        return (tasks.iter().map(scan).collect(), 1);
     }
+    let mut slots: Vec<Option<(Vec<NodeId>, BitSet)>> = (0..tasks.len()).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..width)
+            .map(|w| {
+                s.spawn(move || {
+                    (w..tasks.len())
+                        .step_by(width)
+                        .map(|i| (i, scan(&tasks[i])))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, r) in h.join().expect("region worker panicked") {
+                slots[i] = Some(r);
+            }
+        }
+    });
+    (slots.into_iter().map(|o| o.expect("every task scanned")).collect(), width)
+}
+
+/// The coalesced maintenance pipeline: apply the whole batch, freeze the
+/// post-batch flat snapshot **once** (shared between the region scans and
+/// the snapshot swap), diff spines against the pre-batch tree `t0`, fan
+/// the disjoint merged regions across at most `width` scoped threads
+/// ([`scan_regions`]), and patch answers deterministically — the outcome
+/// is schedule- and width-invariant.
+fn maintain_coalesced(
+    t0: &Tree,
+    doc: &mut Tree,
+    defs: &[&Pattern],
+    answers: &mut [Vec<NodeId>],
+    edits: &[Edit],
+    width: usize,
+) -> Result<(Vec<ViewDelta>, MaintainStats, Arc<FlatTree>), EditError> {
+    let saved: Vec<Vec<NodeId>> = answers.to_vec();
+
+    let t = Instant::now();
+    let prep = prepare_batch(doc, edits)?;
+    let apply_us = t.elapsed().as_micros() as u64;
+
+    let t = Instant::now();
+    let new_flat = Arc::new(FlatTree::freeze(doc));
+    let freeze_us = t.elapsed().as_micros() as u64;
+
+    let t = Instant::now();
+    let mut plan = coalesce_plan(t0, doc, defs, &prep);
+    let tasks = plan.region_tasks();
+    plan.stats.coalesce_us = t.elapsed().as_micros() as u64;
+    plan.stats.apply_us = apply_us;
+    plan.stats.freeze_us = freeze_us;
+    plan.stats.freeze_reused = 1;
+
+    let t = Instant::now();
+    let (results, used) = scan_regions(&tasks, defs, &new_flat, width);
+    if used > 1 {
+        plan.stats.parallel_tasks = tasks.len() as u64;
+        plan.stats.parallel_width = used as u64;
+    }
+    plan.stats.scan_us = t.elapsed().as_micros() as u64;
+
+    let t = Instant::now();
+    let mut stats = plan.stats;
+    apply_region_results(doc, defs, answers, &plan, &tasks, &results, &mut stats);
+    let deltas = finalize_deltas(doc, &saved, answers, &plan.retag, &mut stats);
+    stats.patch_us = t.elapsed().as_micros() as u64;
+    Ok((deltas, stats, new_flat))
 }
 
 /// The cache's observability handles: its private metric [`Registry`]
@@ -548,20 +609,6 @@ pub struct ShardedViewCache {
     memo_enabled: AtomicBool,
     /// Whether multi-view intersection routes are planned (ablation knob).
     intersect_enabled: AtomicBool,
-    /// Whether evaluation runs through the frozen flat snapshot (the
-    /// `xpv serve-bench --no-flat` / `eval-bench` ablation knob; disabled,
-    /// every route evaluates on the arena `Tree` — answers are identical).
-    flat_enabled: AtomicBool,
-    /// Whether the plan-miss fast path consults view signatures before
-    /// paying containment decisions (the `--no-sig-filter` ablation knob;
-    /// routes and answers are identical either way — the filter is a
-    /// necessary condition).
-    sig_filter_enabled: AtomicBool,
-    /// Whether the serving front-ends return answers through the
-    /// [`AnswerArena`] lane ([`ShardedViewCache::answer_batch_refs`]) or
-    /// the owned-`Vec` wrapper (the `--no-arena` ablation knob; bytes on
-    /// the wire are identical either way).
-    arena_enabled: AtomicBool,
     /// Budget knobs handed to the intersection planner.
     intersect_cfg: IntersectConfig,
     shards: Box<[CacheShard]>,
@@ -582,18 +629,6 @@ pub struct ShardedViewCache {
     next_view_id: AtomicU64,
     /// Bumped by every successful [`ShardedViewCache::apply_edits`] batch.
     doc_version: AtomicU64,
-    /// Whether `apply_edits` maintains views incrementally (the
-    /// `xpv update-bench` ablation knob; `false` = full re-materialization).
-    incremental_maintenance: AtomicBool,
-    /// Whether incremental maintenance coalesces the batch into merged
-    /// regions (the `--no-coalesce` ablation knob; `false` = the legacy
-    /// per-edit path).
-    coalesce_enabled: AtomicBool,
-    /// Whether independent merged regions are fanned across scoped worker
-    /// threads (the `--no-parallel-regions` ablation knob).
-    parallel_regions: AtomicBool,
-    /// Worker count for the region fan-out (`0` = available parallelism).
-    region_workers: AtomicU64,
     /// Lifetime maintenance counters (summed per batch under the write
     /// gate; surfaced through [`CacheStats::maintain`]).
     maintain_totals: std::sync::Mutex<MaintainStats>,
@@ -636,9 +671,6 @@ impl ShardedViewCache {
             policy: ChoicePolicy::default(),
             memo_enabled: AtomicBool::new(true),
             intersect_enabled: AtomicBool::new(true),
-            flat_enabled: AtomicBool::new(true),
-            sig_filter_enabled: AtomicBool::new(true),
-            arena_enabled: AtomicBool::new(true),
             intersect_cfg: IntersectConfig::default(),
             shards: (0..DEFAULT_CACHE_SHARDS).map(|_| CacheShard::default()).collect(),
             memo_cap: usize::MAX,
@@ -647,10 +679,6 @@ impl ShardedViewCache {
             tick: AtomicU64::new(0),
             next_view_id: AtomicU64::new(0),
             doc_version: AtomicU64::new(0),
-            incremental_maintenance: AtomicBool::new(true),
-            coalesce_enabled: AtomicBool::new(true),
-            parallel_regions: AtomicBool::new(true),
-            region_workers: AtomicU64::new(0),
             maintain_totals: std::sync::Mutex::new(MaintainStats::default()),
             updates_applied: AtomicU64::new(0),
             views_refreshed_incrementally: AtomicU64::new(0),
@@ -713,9 +741,9 @@ impl ShardedViewCache {
     }
 
     /// Enables or disables **all** memoization — the plan memo and the
-    /// session oracle's verdict/homomorphism memos. This is the ablation
-    /// knob the throughput bench flips to measure what sharing buys;
-    /// disabling clears every memo so a re-enable starts cold.
+    /// session oracle's verdict/homomorphism memos (the ablation knob that
+    /// measures what sharing buys); disabling clears every memo so a
+    /// re-enable starts cold.
     pub fn set_memo_enabled(&self, enabled: bool) {
         self.memo_enabled.store(enabled, Ordering::Relaxed);
         if !enabled {
@@ -740,8 +768,7 @@ impl ShardedViewCache {
         self
     }
 
-    /// Enables or disables **multi-view intersection routes** — the
-    /// ablation knob behind `xpv serve-bench --no-intersect`. Memoized
+    /// Enables or disables **multi-view intersection routes**. Memoized
     /// routes that the flip invalidates are dropped: disabling removes
     /// `Intersect` routes, enabling removes `Direct` routes (which asserted
     /// "nothing serves this query" while intersections were off).
@@ -764,52 +791,6 @@ impl ShardedViewCache {
     /// Whether intersection routes are planned.
     pub fn intersect_enabled(&self) -> bool {
         self.intersect_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the **flat evaluation path** — the ablation knob
-    /// behind `xpv serve-bench --no-flat`. Routing and planning are
-    /// untouched (no memo invalidation needed): the flag only selects which
-    /// matcher executes routes, and both matchers return byte-identical
-    /// answers.
-    pub fn set_flat_enabled(&self, enabled: bool) {
-        self.flat_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether evaluation runs through the frozen flat snapshot.
-    pub fn flat_enabled(&self) -> bool {
-        self.flat_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the **signature fast path** on plan-memo
-    /// misses — the ablation knob behind `xpv serve-bench
-    /// --no-sig-filter`. The filter is a *necessary condition* (a
-    /// rejected candidate provably admits no equivalent rewriting — see
-    /// the `xpv_pattern::signature` module docs), and the hit-rate try
-    /// order is applied identically in both arms over the same success
-    /// set, so routes and answers are byte-identical either way and no
-    /// memo invalidation is needed: the flag only selects whether doomed
-    /// candidates pay a containment decision before failing.
-    pub fn set_sig_filter_enabled(&self, enabled: bool) {
-        self.sig_filter_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether plan misses pre-filter candidates by signature.
-    pub fn sig_filter_enabled(&self) -> bool {
-        self.sig_filter_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Toggles the arena answer lane for the serving front-ends — `xpv
-    /// serve-bench --no-arena`. The flag only selects which batch API the
-    /// servers call ([`ShardedViewCache::answer_batch_refs`] vs
-    /// [`ShardedViewCache::answer_batch`]); both produce the same nodes
-    /// and routes, so the wire bytes are identical.
-    pub fn set_arena_enabled(&self, enabled: bool) {
-        self.arena_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the serving front-ends use the arena answer lane.
-    pub fn arena_enabled(&self) -> bool {
-        self.arena_enabled.load(Ordering::Relaxed)
     }
 
     /// Drops every memo entry whose [`PlanDep`] matches `stale`, updating
@@ -1002,16 +983,10 @@ impl ShardedViewCache {
     /// decided on patterns, not data, so surviving routes stay exact over
     /// the refreshed views.
     ///
-    /// With incremental maintenance disabled
-    /// ([`ShardedViewCache::set_incremental_maintenance`]) every view is
-    /// fully re-materialized instead — the `xpv update-bench` baseline.
-    ///
     /// On error (an edit targeting a dead node, or deleting the root) the
     /// shared document and every view are left exactly as they were.
     pub fn apply_edits(&self, edits: &[Edit]) -> Result<UpdateReport, EditError> {
         let mut span = Span::begin("cache.update");
-        let incremental = self.incremental_maintenance.load(Ordering::Relaxed);
-        let coalesce = incremental && self.coalesce_enabled.load(Ordering::Relaxed);
         // Serialize writers on the gate; the gate holder is the only
         // mutator, so the snapshot below cannot go stale beneath us while
         // we maintain clones of it off-lock.
@@ -1029,24 +1004,12 @@ impl ShardedViewCache {
         let mut doc = (*snap.doc).clone();
         let defs: Vec<&Pattern> = snap.views.iter().map(|v| v.definition()).collect();
         let mut answers: Vec<Vec<NodeId>> = snap.views.iter().map(|v| v.nodes().to_vec()).collect();
-        let (deltas, maintain, new_flat) = if coalesce {
-            // Coalesced path: the post-batch freeze happens *before*
-            // maintenance and drives the flat region scans; the same
-            // snapshot is published by the swap below.
-            self.maintain_coalesced(&snap.doc, &mut doc, &defs, &mut answers, edits)?
-        } else {
-            let mode =
-                if incremental { MaintainMode::Incremental } else { MaintainMode::FullRecompute };
-            let t = Instant::now();
-            let (deltas, mut maintain) =
-                maintain_views(&mut doc, &defs, &mut answers, edits, mode)?;
-            maintain.apply_us += t.elapsed().as_micros() as u64;
-            // Legacy paths freeze after maintenance, for the swap only.
-            let t = Instant::now();
-            let new_flat = Arc::new(FlatTree::freeze(&doc));
-            maintain.freeze_us += t.elapsed().as_micros() as u64;
-            (deltas, maintain, new_flat)
-        };
+        // The post-batch freeze happens *before* maintenance and drives the
+        // flat region scans; the same snapshot is published by the swap
+        // below. Region scans fan out one thread per core at most.
+        let width = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let (deltas, maintain, new_flat) =
+            maintain_coalesced(&snap.doc, &mut doc, &defs, &mut answers, edits, width)?;
         drop(defs);
 
         let mut changed: Vec<ViewId> = Vec::new();
@@ -1068,9 +1031,8 @@ impl ShardedViewCache {
             Arc::clone(&snap.views)
         };
         // Publication: readers that observe the new document always
-        // observe its matching flat snapshot (frozen above — before
-        // maintenance on the coalesced path, after it on the legacy ones;
-        // tombstones from this batch are masked out either way).
+        // observe its matching flat snapshot (frozen above, with this
+        // batch's tombstones masked out).
         let new_doc = Arc::new(doc);
         {
             // The only work under the state lock is the pointer swap:
@@ -1099,9 +1061,7 @@ impl ShardedViewCache {
             span.mark_us(Phase::Patch, maintain.patch_us);
         }
         span.finish();
-        if incremental {
-            self.views_refreshed_incrementally.fetch_add(refreshed as u64, Ordering::Relaxed);
-        }
+        self.views_refreshed_incrementally.fetch_add(refreshed as u64, Ordering::Relaxed);
         // State swapped; now invalidate. Version bump strictly before the
         // sweep, mirroring `add_view`: in-flight plans from the old state
         // either skip memoizing or are caught by the sweep.
@@ -1124,156 +1084,6 @@ impl ShardedViewCache {
             routes_dropped,
             maintain,
         })
-    }
-
-    /// Enables or disables **incremental maintenance** under
-    /// [`ShardedViewCache::apply_edits`] — the `xpv update-bench` ablation
-    /// knob. Disabled, every update fully re-materializes every view (the
-    /// rebuild-the-world baseline); answers are identical either way.
-    pub fn set_incremental_maintenance(&self, enabled: bool) {
-        self.incremental_maintenance.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether `apply_edits` maintains views incrementally.
-    pub fn incremental_maintenance(&self) -> bool {
-        self.incremental_maintenance.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables **batch coalescing** under incremental
-    /// maintenance — the `xpv update-bench --no-coalesce` ablation knob.
-    /// Disabled, the legacy per-edit path runs (one region scan per
-    /// (view, edit) pair); answers are identical either way.
-    pub fn set_coalesce_enabled(&self, enabled: bool) {
-        self.coalesce_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether incremental maintenance coalesces edit batches.
-    pub fn coalesce_enabled(&self) -> bool {
-        self.coalesce_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the **parallel region fan-out** — the
-    /// `xpv update-bench --no-parallel-regions` ablation knob. Merged
-    /// regions are disjoint, so scans are combined in `(view, root)` order
-    /// and answers, deltas, and counters are identical either way.
-    pub fn set_parallel_regions(&self, enabled: bool) {
-        self.parallel_regions.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether region scans fan out across worker threads.
-    pub fn parallel_regions(&self) -> bool {
-        self.parallel_regions.load(Ordering::Relaxed)
-    }
-
-    /// Sets the worker count for the region fan-out (`0` = use
-    /// `std::thread::available_parallelism`).
-    pub fn set_region_workers(&self, workers: usize) {
-        self.region_workers.store(workers as u64, Ordering::Relaxed);
-    }
-
-    /// The coalesced maintenance pipeline: apply the whole batch, freeze
-    /// the post-batch flat snapshot **once** (shared between the region
-    /// scans and the snapshot swap), diff spines against the pre-batch
-    /// tree, fan the disjoint merged regions across scoped worker threads,
-    /// and patch answers deterministically (results indexed by task order,
-    /// so the outcome is schedule-invariant).
-    fn maintain_coalesced(
-        &self,
-        t0: &Tree,
-        doc: &mut Tree,
-        defs: &[&Pattern],
-        answers: &mut [Vec<NodeId>],
-        edits: &[Edit],
-    ) -> Result<(Vec<ViewDelta>, MaintainStats, Arc<FlatTree>), EditError> {
-        let saved: Vec<Vec<NodeId>> = answers.to_vec();
-
-        let t = Instant::now();
-        let prep = prepare_batch(doc, edits)?;
-        let apply_us = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let new_flat = Arc::new(FlatTree::freeze(doc));
-        let freeze_us = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let mut plan = coalesce_plan(t0, doc, defs, &prep);
-        let tasks = plan.region_tasks();
-        plan.stats.coalesce_us = t.elapsed().as_micros() as u64;
-        plan.stats.apply_us = apply_us;
-        plan.stats.freeze_us = freeze_us;
-        plan.stats.freeze_reused = 1;
-
-        let use_flat = self.flat_enabled();
-        let parallel = self.parallel_regions.load(Ordering::Relaxed);
-        // A width-1 fan-out would pay thread-spawn cost for nothing (e.g.
-        // a single-core host, or a single-region batch) — run serial then.
-        let width = if parallel && tasks.len() > 1 {
-            let configured = self.region_workers.load(Ordering::Relaxed) as usize;
-            if configured == 0 {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            } else {
-                configured
-            }
-            .min(tasks.len())
-        } else {
-            1
-        };
-        let t = Instant::now();
-        let results: Vec<(Vec<NodeId>, BitSet)> = if width > 1 {
-            plan.stats.parallel_tasks = tasks.len() as u64;
-            plan.stats.parallel_width = width as u64;
-            // Static striping: worker w owns tasks w, w+W, w+2W, …; each
-            // returns (index, result) pairs, so the combined vector is in
-            // task order no matter how the threads interleave.
-            let mut slots: Vec<Option<(Vec<NodeId>, BitSet)>> =
-                (0..tasks.len()).map(|_| None).collect();
-            let doc_ref: &Tree = doc;
-            let flat_ref: &FlatTree = &new_flat;
-            let plan_ref: &CoalescedPlan = &plan;
-            let tasks_ref: &[RegionTask] = &tasks;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..width)
-                    .map(|w| {
-                        s.spawn(move || {
-                            let mut out = Vec::new();
-                            let mut i = w;
-                            while i < tasks_ref.len() {
-                                let r = scan_region(
-                                    tasks_ref[i],
-                                    plan_ref,
-                                    defs,
-                                    doc_ref,
-                                    flat_ref,
-                                    use_flat,
-                                );
-                                out.push((i, r));
-                                i += width;
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, r) in h.join().expect("region worker panicked") {
-                        slots[i] = Some(r);
-                    }
-                }
-            });
-            slots.into_iter().map(|o| o.expect("every task scanned")).collect()
-        } else {
-            tasks
-                .iter()
-                .map(|&task| scan_region(task, &plan, defs, doc, &new_flat, use_flat))
-                .collect()
-        };
-        plan.stats.scan_us = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let mut stats = plan.stats;
-        apply_region_results(doc, defs, answers, &plan, &tasks, &results, &mut stats);
-        let deltas = finalize_deltas(doc, &saved, answers, &plan.retag, &mut stats);
-        stats.patch_us = t.elapsed().as_micros() as u64;
-        Ok((deltas, stats, new_flat))
     }
 
     /// Lifetime statistics, aggregated across shards (the oracle counters
@@ -1445,9 +1255,9 @@ impl ShardedViewCache {
     /// rejected candidates provably admit no equivalent rewriting and
     /// never reach the containment oracle), and the survivors are tried
     /// in this shard's hit-rate order so a `FirstMatch` plan usually pays
-    /// exactly one containment decision. Since filtered-out candidates
-    /// can never produce a rewriting and the try order ignores the filter
-    /// knob, the chosen route is identical with the filter on or off.
+    /// exactly one containment decision. Filtered-out candidates can never
+    /// produce a rewriting, so the filter changes which decisions are paid,
+    /// never the chosen route.
     fn plan(
         &self,
         query: &Pattern,
@@ -1455,22 +1265,12 @@ impl ShardedViewCache {
         snap: &StateSnapshot,
     ) -> (PlannedRoute, PlanDep) {
         let views = &snap.views;
-        let use_filter = self.sig_filter_enabled();
-        let qsig = (use_filter && !views.is_empty()).then(|| QuerySignature::of(query));
-        let mut order: Vec<usize> = Vec::with_capacity(views.len());
-        for i in 0..views.len() {
-            if let Some(qsig) = &qsig {
-                if !qsig.admits(&snap.sigs[i]) {
-                    continue;
-                }
-            }
-            order.push(i);
-        }
-        if use_filter {
-            let rejected = (views.len() - order.len()) as u64;
-            shard.stats.sig_rejects.fetch_add(rejected, Ordering::Relaxed);
-            shard.stats.sig_passes.fetch_add(order.len() as u64, Ordering::Relaxed);
-        }
+        let qsig = QuerySignature::of(query);
+        let mut order: Vec<usize> =
+            (0..views.len()).filter(|&i| qsig.admits(&snap.sigs[i])).collect();
+        let rejected = (views.len() - order.len()) as u64;
+        shard.stats.sig_rejects.fetch_add(rejected, Ordering::Relaxed);
+        shard.stats.sig_passes.fetch_add(order.len() as u64, Ordering::Relaxed);
         // Winner-first try order (stable sort, pool order breaks ties):
         // under `FirstMatch` the historically winning view is decided
         // first, so a recurring miss pattern costs one oracle call instead
@@ -1526,7 +1326,7 @@ impl ShardedViewCache {
                 &self.session,
                 query,
                 &pool,
-                qsig.as_ref().map(|q| (q, snap.sigs.as_slice())),
+                Some((&qsig, snap.sigs.as_slice())),
                 &self.intersect_cfg,
             );
             shard
@@ -1555,87 +1355,28 @@ impl ShardedViewCache {
         (PlannedRoute::Direct, PlanDep::NoUsableView)
     }
 
-    /// Executes a planned route against the snapshot, producing the answer
-    /// nodes and provenance. A route whose stable ids no longer resolve in
-    /// the snapshot (its views were removed after the route was fetched)
-    /// degrades to direct evaluation — always sound, since routed answers
-    /// equal direct answers by construction.
-    ///
-    /// Evaluation runs through the snapshot's frozen [`FlatTree`] when the
-    /// flat path is enabled; `batch` additionally threads one fused
-    /// [`BatchEval`] through the deduped survivors of `answer_batch`, so
-    /// sub-match tables are shared across the batch. All three arms return
-    /// byte-identical nodes (the equivalence suite pins this down).
+    /// Executes a planned route against the snapshot through the batch's
+    /// fused [`BatchEval`], draining the output bitset straight into
+    /// `arena`, and returns the answer handle plus provenance. A route
+    /// whose stable ids no longer resolve in the snapshot (its views were
+    /// removed after the route was fetched) degrades to direct evaluation
+    /// — always sound, since routed answers equal direct answers by
+    /// construction.
     fn execute(
         &self,
         query: &Pattern,
         route: PlannedRoute,
         shard: &CacheShard,
         snap: &StateSnapshot,
-        mut batch: Option<&mut BatchEval<'_>>,
-    ) -> (Vec<NodeId>, Route) {
-        let flat = self.flat_enabled();
-        // One evaluation seam for every arm: `anchors == None` means "from
-        // the document root" (plain evaluation).
-        let mut eval = |p: &Pattern, anchors: Option<&[NodeId]>| -> Vec<NodeId> {
-            match (batch.as_deref_mut(), anchors) {
-                (Some(b), Some(a)) => b.evaluate_anchored(p, a),
-                (Some(b), None) => b.evaluate(p),
-                (None, Some(a)) if flat => evaluate_anchored_flat(p, &snap.flat, a),
-                (None, None) if flat => evaluate_flat(p, &snap.flat),
-                (None, Some(a)) => evaluate_anchored(p, &snap.doc, a),
-                (None, None) => evaluate(p, &snap.doc),
-            }
-        };
-        self.execute_route(query, route, shard, snap, &mut eval)
-    }
-
-    /// [`ShardedViewCache::execute`] writing the answer nodes into a
-    /// caller-supplied arena: on the fused batch path the output bitset is
-    /// drained straight into the arena (no intermediate `Vec`); the
-    /// non-fused fallbacks evaluate to a `Vec` and append it, so every arm
-    /// stays byte-identical to the owned path.
-    fn execute_refs(
-        &self,
-        query: &Pattern,
-        route: PlannedRoute,
-        shard: &CacheShard,
-        snap: &StateSnapshot,
-        mut batch: Option<&mut BatchEval<'_>>,
+        batch: &mut BatchEval<'_>,
         arena: &mut AnswerArena,
     ) -> (AnswerRef, Route) {
-        let flat = self.flat_enabled();
-        let mut eval = |p: &Pattern, anchors: Option<&[NodeId]>| -> AnswerRef {
-            match (batch.as_deref_mut(), anchors) {
-                (Some(b), Some(a)) => b.evaluate_anchored_into(p, a, arena),
-                (Some(b), None) => b.evaluate_into(p, arena),
-                (None, Some(a)) if flat => arena.push_run(evaluate_anchored_flat(p, &snap.flat, a)),
-                (None, None) if flat => arena.push_run(evaluate_flat(p, &snap.flat)),
-                (None, Some(a)) => arena.push_run(evaluate_anchored(p, &snap.doc, a)),
-                (None, None) => arena.push_run(evaluate(p, &snap.doc)),
-            }
-        };
-        self.execute_route(query, route, shard, snap, &mut eval)
-    }
-
-    /// The route-resolution core shared by the owned and arena execution
-    /// paths: resolves stable ids against the snapshot, bumps the route
-    /// counters, computes intersection anchors, and calls `eval` exactly
-    /// once per answer.
-    fn execute_route<T>(
-        &self,
-        query: &Pattern,
-        route: PlannedRoute,
-        shard: &CacheShard,
-        snap: &StateSnapshot,
-        eval: &mut dyn FnMut(&Pattern, Option<&[NodeId]>) -> T,
-    ) -> (T, Route) {
         match route {
             PlannedRoute::ViaView { id, hint, rewriting } => {
                 if let Some(index) = snap.resolve(id, hint) {
                     bump(&shard.stats.view_hits);
                     let view = &snap.views[index];
-                    let nodes = eval(&rewriting, Some(view.nodes()));
+                    let nodes = batch.evaluate_anchored_into(&rewriting, view.nodes(), arena);
                     return (
                         nodes,
                         Route::ViaView {
@@ -1644,8 +1385,6 @@ impl ShardedViewCache {
                         },
                     );
                 }
-                bump(&shard.stats.direct);
-                (eval(query, None), Route::Direct)
             }
             PlannedRoute::Intersect { ids, hints, compensation } => {
                 let indices: Option<Vec<usize>> =
@@ -1655,7 +1394,7 @@ impl ShardedViewCache {
                     let sets: Vec<&[NodeId]> =
                         indices.iter().map(|&i| snap.views[i].nodes()).collect();
                     let anchors = intersect_node_sets(snap.doc.arena_len(), &sets);
-                    let nodes = eval(&compensation, Some(&anchors));
+                    let nodes = batch.evaluate_anchored_into(&compensation, &anchors, arena);
                     return (
                         nodes,
                         Route::Intersect {
@@ -1667,14 +1406,11 @@ impl ShardedViewCache {
                         },
                     );
                 }
-                bump(&shard.stats.direct);
-                (eval(query, None), Route::Direct)
             }
-            PlannedRoute::Direct => {
-                bump(&shard.stats.direct);
-                (eval(query, None), Route::Direct)
-            }
+            PlannedRoute::Direct => {}
         }
+        bump(&shard.stats.direct);
+        (batch.evaluate_into(query, arena), Route::Direct)
     }
 
     /// Answers `query`, preferring an equivalent rewriting over any
@@ -1685,51 +1421,22 @@ impl ShardedViewCache {
     /// plan memo under a shared read lock: no planner call and **zero**
     /// canonical-model containment calls
     /// ([`CacheStats::plan_memo_hits`] counts these).
+    ///
+    /// An owned-`Vec` convenience over [`ShardedViewCache::answer_batch`]
+    /// (a batch of one).
     pub fn answer(&self, query: &Pattern) -> CacheAnswer {
-        let (key, fp) = self.session.oracle().intern_fingerprinted(query);
-        self.answer_keyed(query, key, fp)
+        self.answer_batch(std::slice::from_ref(query)).pop().expect("one answer per query")
     }
 
-    /// [`ShardedViewCache::answer`] with the interning already done (batch
-    /// callers intern once for dedup and routing). One consistent
-    /// document+views snapshot serves both planning and evaluation.
-    fn answer_keyed(&self, query: &Pattern, key: PatternKey, fp: u64) -> CacheAnswer {
-        let snap = self.snapshot();
-        self.answer_on(query, key, fp, &snap, None)
-    }
-
-    /// Routes and executes one query against a caller-held snapshot,
-    /// optionally through a fused batch evaluator bound to that snapshot.
+    /// Routes and executes one query against the batch's snapshot and
+    /// fused evaluator, writing its nodes into `arena`.
     fn answer_on(
         &self,
         query: &Pattern,
         key: PatternKey,
         fp: u64,
         snap: &StateSnapshot,
-        batch: Option<&mut BatchEval<'_>>,
-    ) -> CacheAnswer {
-        let plan_start = Instant::now();
-        let (route, shard) = self.route_for(query, key, fp);
-        bump(&shard.stats.queries);
-        let planning = plan_start.elapsed();
-
-        let eval_start = Instant::now();
-        let (nodes, route) = self.execute(query, route, shard, snap, batch);
-        let evaluation = eval_start.elapsed();
-        self.obs.plan_us.record_duration(planning);
-        self.obs.eval_us.record_duration(evaluation);
-        CacheAnswer { nodes, route, planning, evaluation }
-    }
-
-    /// [`ShardedViewCache::answer_on`] for the arena lane: identical
-    /// routing and accounting, nodes written into `arena`.
-    fn answer_on_refs(
-        &self,
-        query: &Pattern,
-        key: PatternKey,
-        fp: u64,
-        snap: &StateSnapshot,
-        batch: Option<&mut BatchEval<'_>>,
+        batch: &mut BatchEval<'_>,
         arena: &mut AnswerArena,
     ) -> CacheAnswerRef {
         let plan_start = Instant::now();
@@ -1738,7 +1445,7 @@ impl ShardedViewCache {
         let planning = plan_start.elapsed();
 
         let eval_start = Instant::now();
-        let (nodes, route) = self.execute_refs(query, route, shard, snap, batch, arena);
+        let (nodes, route) = self.execute(query, route, shard, snap, batch, arena);
         let evaluation = eval_start.elapsed();
         self.obs.plan_us.record_duration(planning);
         self.obs.eval_us.record_duration(evaluation);
@@ -1746,82 +1453,30 @@ impl ShardedViewCache {
     }
 
     /// Answers a whole workload slice in one pass; answers come back in
-    /// input order.
+    /// input order. An owned-`Vec` convenience that copies each answer's
+    /// nodes out of [`ShardedViewCache::answer_batch_refs`] — same routes,
+    /// nodes, and counter effects.
     ///
     /// While memoization is enabled, queries repeated **within the batch**
     /// (including sibling-reordered isomorphs) are answered once and fanned
-    /// out: the repeat positions receive a clone of the first occurrence's
-    /// `CacheAnswer` (with zeroed timings) without re-running even the
-    /// plan-memo lookup. Fan-outs count as [`CacheStats::plan_memo_hits`]
-    /// and [`CacheStats::batch_dedup_hits`]. With the memo disabled
+    /// out: the repeat positions receive the first occurrence's nodes and
+    /// route (with zeroed timings) without re-running even the plan-memo
+    /// lookup. Fan-outs count as [`CacheStats::plan_memo_hits`] and
+    /// [`CacheStats::batch_dedup_hits`]. With the memo disabled
     /// ([`ShardedViewCache::set_memo_enabled`]) every position replans, so
     /// the ablation baseline measures genuinely unshared work.
     pub fn answer_batch(&self, queries: &[Pattern]) -> Vec<CacheAnswer> {
-        let mut span = Span::begin("cache.batch");
-        let answers = self.answer_batch_spanned(queries, &mut span);
-        span.finish();
+        let mut arena = AnswerArena::new();
+        let answers = self.answer_batch_refs(queries, &mut arena);
         answers
-    }
-
-    /// [`ShardedViewCache::answer_batch`] with a caller-owned trace
-    /// [`Span`]: the batch's aggregate plan and eval phase times are
-    /// marked onto `span` (when it is enabled), letting a serving
-    /// front-end thread one request-lifecycle span through admission,
-    /// routing, evaluation, encoding, and flush. The batch-level latency
-    /// histograms record regardless of the span.
-    pub fn answer_batch_spanned(&self, queries: &[Pattern], span: &mut Span) -> Vec<CacheAnswer> {
-        let batch_start = Instant::now();
-        let answers = self.answer_batch_inner(queries);
-        self.obs.batch_us.record_duration(batch_start.elapsed());
-        if span.is_enabled() {
-            let plan: Duration = answers.iter().map(|a| a.planning).sum();
-            let eval: Duration = answers.iter().map(|a| a.evaluation).sum();
-            span.mark_us(Phase::Plan, plan.as_micros() as u64);
-            span.mark_us(Phase::Eval, eval.as_micros() as u64);
-        }
-        answers
-    }
-
-    fn answer_batch_inner(&self, queries: &[Pattern]) -> Vec<CacheAnswer> {
-        if !self.memo_enabled() {
-            return queries.iter().map(|q| self.answer(q)).collect();
-        }
-        // One consistent snapshot serves the whole batch, and one fused
-        // evaluator (when the flat path is on) shares scratch buffers and
-        // sub-match tables across every deduped survivor.
-        let snap = self.snapshot();
-        let mut fused = self.flat_enabled().then(|| BatchEval::new(&snap.flat));
-        let mut answers: Vec<CacheAnswer> = Vec::with_capacity(queries.len());
-        let mut first_seen: HashMap<PatternKey, usize> = HashMap::new();
-        for (i, query) in queries.iter().enumerate() {
-            let (key, fp) = self.session.oracle().intern_fingerprinted(query);
-            match first_seen.get(&key) {
-                Some(&j) => {
-                    let original = &answers[j];
-                    let fanned = CacheAnswer {
-                        nodes: original.nodes.clone(),
-                        route: original.route.clone(),
-                        planning: Duration::ZERO,
-                        evaluation: Duration::ZERO,
-                    };
-                    let shard = self.shard_for(fp);
-                    bump(&shard.stats.queries);
-                    bump(&shard.stats.plan_memo_hits);
-                    bump(&shard.stats.batch_dedup_hits);
-                    match fanned.route {
-                        Route::ViaView { .. } => bump(&shard.stats.view_hits),
-                        Route::Intersect { .. } => bump(&shard.stats.intersect_hits),
-                        Route::Direct => bump(&shard.stats.direct),
-                    }
-                    answers.push(fanned);
-                }
-                None => {
-                    first_seen.insert(key, i);
-                    answers.push(self.answer_on(query, key, fp, &snap, fused.as_mut()));
-                }
-            }
-        }
-        answers
+            .into_iter()
+            .map(|a| CacheAnswer {
+                nodes: arena.get(a.nodes).to_vec(),
+                route: Arc::unwrap_or_clone(a.route),
+                planning: a.planning,
+                evaluation: a.evaluation,
+            })
+            .collect()
     }
 
     /// [`ShardedViewCache::answer_batch`] through the **arena lane**: the
@@ -1831,9 +1486,7 @@ impl ShardedViewCache {
     /// plan memo, fused flat evaluation — an answer touches the heap only
     /// through the arena's amortized growth; batch-deduplicated repeats
     /// share the first occurrence's run outright (the handle is `Copy`),
-    /// so fan-out allocates nothing at all. Nodes, routes, and counter
-    /// effects are identical to the owned API (the ablation suite pins the
-    /// encoded bytes).
+    /// so fan-out allocates nothing at all.
     pub fn answer_batch_refs(
         &self,
         queries: &[Pattern],
@@ -1846,7 +1499,11 @@ impl ShardedViewCache {
     }
 
     /// [`ShardedViewCache::answer_batch_refs`] with a caller-owned trace
-    /// [`Span`] (see [`ShardedViewCache::answer_batch_spanned`]).
+    /// [`Span`]: the batch's aggregate plan and eval phase times are
+    /// marked onto `span` (when it is enabled), letting a serving
+    /// front-end thread one request-lifecycle span through admission,
+    /// routing, evaluation, encoding, and flush. The batch-level latency
+    /// histograms record regardless of the span.
     pub fn answer_batch_refs_spanned(
         &self,
         queries: &[Pattern],
@@ -1871,17 +1528,18 @@ impl ShardedViewCache {
         arena: &mut AnswerArena,
     ) -> Vec<CacheAnswerRef> {
         arena.clear();
+        // One consistent snapshot serves the whole batch, and one fused
+        // evaluator shares scratch buffers and sub-match tables across
+        // every evaluated position.
         let snap = self.snapshot();
-        let mut fused = self.flat_enabled().then(|| BatchEval::new(&snap.flat));
+        let mut fused = BatchEval::new(&snap.flat);
         if !self.memo_enabled() {
-            // Ablation baseline: every position replans and re-evaluates
-            // (same per-position work as the owned path's fallback, one
-            // consistent snapshot either way).
+            // Ablation baseline: every position replans and re-evaluates.
             return queries
                 .iter()
                 .map(|q| {
                     let (key, fp) = self.session.oracle().intern_fingerprinted(q);
-                    self.answer_on_refs(q, key, fp, &snap, fused.as_mut(), arena)
+                    self.answer_on(q, key, fp, &snap, &mut fused, arena)
                 })
                 .collect();
         }
@@ -1911,14 +1569,15 @@ impl ShardedViewCache {
                 }
                 None => {
                     first_seen.insert(key, i);
-                    answers.push(self.answer_on_refs(query, key, fp, &snap, fused.as_mut(), arena));
+                    answers.push(self.answer_on(query, key, fp, &snap, &mut fused, arena));
                 }
             }
         }
         answers
     }
 
-    /// Answers `query` by direct evaluation only (baseline for benchmarks).
+    /// Answers `query` by direct evaluation on the `Tree` reference
+    /// evaluator (the oracle the test suites compare against).
     pub fn answer_direct(&self, query: &Pattern) -> Vec<NodeId> {
         evaluate(query, &self.document())
     }
@@ -2364,34 +2023,79 @@ mod tests {
         assert_eq!(s.views_refreshed_incrementally, 1);
     }
 
-    #[test]
-    fn apply_edits_full_recompute_matches_incremental() {
+    /// Edits under two different regions of [`doc`]: a deletion in the
+    /// second and a graft in the third, plus a relabel of the second.
+    fn scattered_edits(d: &Tree) -> Vec<xpv_maintain::Edit> {
         use xpv_maintain::Edit;
+        let regions = d.children(d.root());
+        let graft = TreeBuilder::root("item", |b| {
+            b.leaf("name");
+        });
+        vec![
+            Edit::DeleteSubtree { node: d.children(regions[1])[0] },
+            Edit::Relabel { node: regions[1], label: xpv_model::Label::new("region") },
+            Edit::InsertSubtree { parent: regions[2], subtree: graft },
+        ]
+    }
 
-        let incremental = ShardedViewCache::new(doc());
-        let full = ShardedViewCache::new(doc());
-        full.set_incremental_maintenance(false);
-        assert!(!full.incremental_maintenance());
-        for c in [&incremental, &full] {
-            c.add_view("items", pat("site/region/item"));
-            c.add_view("names", pat("site/region/item/name"));
+    #[test]
+    fn apply_edits_matches_full_recompute() {
+        use xpv_maintain::{maintain_views, MaintainMode};
+
+        let cache = ShardedViewCache::new(doc());
+        let defs = [pat("site/region/item"), pat("site/region/item/name"), pat("site//keyword")];
+        for (i, def) in defs.iter().enumerate() {
+            cache.add_view(&format!("v{i}"), def.clone());
         }
-        let snap = incremental.document();
-        let region = snap.children(snap.root())[1];
-        let victim = snap.children(region)[0];
-        let edits = vec![
-            Edit::DeleteSubtree { node: victim },
-            Edit::Relabel { node: region, label: xpv_model::Label::new("region") },
-        ];
-        incremental.apply_edits(&edits).expect("valid");
-        full.apply_edits(&edits).expect("valid");
-        assert_eq!(full.stats().views_refreshed_incrementally, 0, "baseline never counts");
-        for q in ["site/region/item/name", "site//keyword", "site/region/item"] {
+        let edits = scattered_edits(&cache.document());
+        // The oracle: re-evaluate every view over the whole edited tree.
+        let mut oracle_doc = (*cache.document()).clone();
+        let def_refs: Vec<&Pattern> = defs.iter().collect();
+        let mut want: Vec<Vec<NodeId>> = defs.iter().map(|d| evaluate(d, &oracle_doc)).collect();
+        maintain_views(&mut oracle_doc, &def_refs, &mut want, &edits, MaintainMode::FullRecompute)
+            .expect("valid");
+
+        let report = cache.apply_edits(&edits).expect("valid");
+        assert!(report.views_changed > 0);
+        for (view, want) in cache.views_snapshot().iter().zip(&want) {
+            assert_eq!(view.nodes(), &want[..], "view {} diverged", view.name());
+        }
+        for q in ["site/region/item/name", "site//keyword", "site/region/item", "site//name"] {
             let q = pat(q);
-            let a = incremental.answer(&q);
-            let b = full.answer(&q);
-            assert_eq!(a.nodes, b.nodes, "modes disagree on {q}");
-            assert_eq!(a.nodes, incremental.answer_direct(&q));
+            assert_eq!(cache.answer(&q).nodes, evaluate(&q, &oracle_doc), "{q}");
+        }
+    }
+
+    #[test]
+    fn region_fanout_width_does_not_change_results() {
+        use xpv_maintain::{maintain_views, MaintainMode};
+
+        let t0 = doc();
+        let edits = scattered_edits(&t0);
+        let defs = [pat("site/region/item"), pat("site/region/item/name")];
+        let def_refs: Vec<&Pattern> = defs.iter().collect();
+        let fresh = || -> Vec<Vec<NodeId>> { defs.iter().map(|d| evaluate(d, &t0)).collect() };
+
+        let mut oracle_doc = t0.clone();
+        let mut want = fresh();
+        maintain_views(&mut oracle_doc, &def_refs, &mut want, &edits, MaintainMode::FullRecompute)
+            .expect("valid");
+
+        for width in [1, 8] {
+            let mut d = t0.clone();
+            let mut answers = fresh();
+            let (_, stats, flat) =
+                maintain_coalesced(&t0, &mut d, &def_refs, &mut answers, &edits, width)
+                    .expect("valid");
+            assert_eq!(answers, want, "width {width} diverged from full recompute");
+            assert_eq!(d.canonical_key(), oracle_doc.canonical_key());
+            assert_eq!(flat.arena_len(), d.arena_len());
+            if width == 1 {
+                assert_eq!(stats.parallel_width, 0, "width 1 runs serially");
+            } else {
+                assert!(stats.parallel_tasks >= 2, "the batch must span several regions");
+                assert_eq!(stats.parallel_width, stats.parallel_tasks.min(8));
+            }
         }
     }
 

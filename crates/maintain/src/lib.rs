@@ -16,11 +16,10 @@
 //!   regions, provably matching a from-scratch re-materialization; a burst
 //!   of k edits under one hot subtree costs one region scan per view
 //!   instead of k;
-//! * the legacy **per-edit maintainer** ([`MaintainMode::Incremental`]) —
-//!   one affected-region scan per (view, edit) pair, kept as the
-//!   `--no-coalesce` ablation arm and cross-check;
-//! * the [`MaintainMode::FullRecompute`] baseline — the rebuild-the-world
-//!   ablation arm of `xpv update-bench`.
+//! * the **per-edit maintainer** ([`MaintainMode::Incremental`]) — one
+//!   affected-region scan per (view, edit) pair — and the
+//!   [`MaintainMode::FullRecompute`] rebuild-the-world mode, kept as the
+//!   oracles the property suites check the coalesced path against.
 //!
 //! ## Why the affected region suffices
 //!

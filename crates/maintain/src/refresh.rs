@@ -21,8 +21,8 @@
 //!    (a bitset diff), tombstoned answers are dropped.
 //!
 //! Views whose label set is disjoint from the labels an edit touched (and
-//! that use no wildcard) are skipped outright — the Zipf-skewed regime the
-//! update benchmark measures. Either way the maintainer reports which
+//! that use no wildcard) are skipped outright — the common case under a
+//! Zipf-skewed edit stream. Either way the maintainer reports which
 //! surviving answers had their subtree **content** changed (the edit point
 //! lies inside their copy), so materialized representations can refresh
 //! exactly those subtree copies (a canonical-key diff rather than a full
@@ -37,17 +37,17 @@ use xpv_semantics::evaluate;
 use crate::edit::{apply_edits, validate_edit, AppliedEdit, Edit, EditError};
 use crate::region::{region_answers, spine_to, SpineInfo, SubMatcher};
 
-/// How [`maintain_views`] refreshes the answer sets — the ablation knob of
-/// `xpv update-bench`.
+/// How [`maintain_views`] refreshes the answer sets. The serving cache
+/// runs the coalesced pipeline; the other two modes are the reference
+/// oracles the property suites compare it against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MaintainMode {
     /// Apply the whole batch first, then patch each view from its merged,
     /// deduplicated region set (see [`crate::coalesce`]) — the default.
     #[default]
     Coalesced,
-    /// The legacy per-edit path: patch each view from each edit's affected
-    /// region, one scan per (view, edit) pair — the `--no-coalesce`
-    /// ablation arm and the PR 6 baseline.
+    /// The per-edit path: patch each view from each edit's affected
+    /// region, one scan per (view, edit) pair.
     Incremental,
     /// Re-evaluate every view over the whole document after the batch —
     /// the rebuild-the-world baseline.

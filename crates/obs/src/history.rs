@@ -405,11 +405,15 @@ impl Sampler {
         let thread = std::thread::Builder::new()
             .name("xpv-obs-sampler".to_string())
             .spawn(move || loop {
+                // Waiting *while* the flag is unset checks it before the
+                // first wait, so a `stop` that lands before this thread
+                // waits (or during a tick) is seen at once, not an
+                // interval later.
                 let stopped = {
                     let guard = thread_core.stop.lock().expect("sampler stop flag poisoned");
                     let (guard, _) = thread_core
                         .wake
-                        .wait_timeout(guard, interval)
+                        .wait_timeout_while(guard, interval, |stopped| !*stopped)
                         .expect("sampler stop flag poisoned");
                     *guard
                 };
@@ -598,6 +602,22 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(sampler.history().ticks(), after, "no ticks after stop");
         sampler.stop(); // idempotent
+    }
+
+    #[test]
+    fn stop_right_after_start_does_not_wait_out_the_interval() {
+        let registry = Arc::new(Registry::new());
+        let reg_for_source = Arc::clone(&registry);
+        let sampler = Sampler::start(
+            Arc::clone(&registry),
+            move || reg_for_source.snapshot(),
+            SamplerConfig { interval: Duration::from_secs(5), ..SamplerConfig::default() },
+        );
+        let started = Instant::now();
+        sampler.stop();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "stop took {took:?}");
+        assert_eq!(sampler.history().ticks(), 0, "no tick before or after stop");
     }
 
     #[test]

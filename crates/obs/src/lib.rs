@@ -63,8 +63,7 @@
 //!
 //! ## Overhead budget
 //!
-//! Measured on this repo's CI container (1–2 cores, release build;
-//! reproduce with `xpv obs-bench`, archived as `BENCH_obs.json`):
+//! Measured on a 1–2 core container, release build:
 //!
 //! - disabled span (`Span::begin` + drop, sampling off): **~3 ns** —
 //!   one relaxed atomic load and a branch (measured 3.4 ns/op);
@@ -72,8 +71,10 @@
 //!   plus the bucket index (measured 20.1 ns/op);
 //! - end-to-end, always-on tracing (`set_trace_sampling(1)`) on the Zipf
 //!   serve mix is **within measurement noise** of tracing off (< 1% on a
-//!   4000-query pass; the span cost is dwarfed by planning/eval). The CI
-//!   gate on `BENCH_obs.json` fails the build past **10%**.
+//!   4000-query pass; the span cost is dwarfed by planning/eval). The
+//!   wire benchmark (`perfbench/`) reports it on every run as
+//!   `load.trace_overhead_pct`; the budget is **10%**, and no check fails
+//!   the build past it.
 
 pub mod health;
 pub mod history;

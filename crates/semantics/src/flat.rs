@@ -44,13 +44,11 @@ use xpv_pattern::{Axis, NodeTest, PatId, Pattern};
 /// A recycling pool of arena-width [`BitSet`] buffers.
 ///
 /// All buffers share one capacity (the `arena_len` of the snapshot being
-/// evaluated). With `reuse` disabled the pool degenerates to plain
-/// allocation — the ablation arm of `xpv eval-bench`.
+/// evaluated).
 #[derive(Debug)]
 pub struct EvalScratch {
     free: Vec<BitSet>,
     capacity: usize,
-    reuse: bool,
 }
 
 /// Upper bound on pooled buffers; beyond this, returned buffers are dropped
@@ -60,12 +58,7 @@ const MAX_POOLED: usize = 64;
 impl EvalScratch {
     /// An empty pool for bitsets of capacity `capacity`.
     pub fn new(capacity: usize) -> EvalScratch {
-        EvalScratch { free: Vec::new(), capacity, reuse: true }
-    }
-
-    /// Like [`EvalScratch::new`], with buffer recycling switched on or off.
-    pub fn with_reuse(capacity: usize, reuse: bool) -> EvalScratch {
-        EvalScratch { free: Vec::new(), capacity, reuse }
+        EvalScratch { free: Vec::new(), capacity }
     }
 
     /// Takes an empty bitset from the pool (or allocates one).
@@ -81,7 +74,7 @@ impl EvalScratch {
 
     /// Returns a buffer to the pool.
     fn put(&mut self, b: BitSet) {
-        if self.reuse && self.free.len() < MAX_POOLED && b.capacity() == self.capacity {
+        if self.free.len() < MAX_POOLED && b.capacity() == self.capacity {
             self.free.push(b);
         }
     }
@@ -121,7 +114,7 @@ pub fn sub_match_sets_flat(
     ft: &FlatTree,
     pin: Option<(PatId, NodeId)>,
 ) -> Vec<BitSet> {
-    let mut scratch = EvalScratch::with_reuse(ft.arena_len(), false);
+    let mut scratch = EvalScratch::new(ft.arena_len());
     sub_match_sets_into(p, ft, pin, &mut scratch)
 }
 
@@ -575,28 +568,16 @@ pub struct BatchEval<'t> {
     ft: &'t FlatTree,
     scratch: EvalScratch,
     tables: HashMap<u64, BitSet>,
-    share_tables: bool,
     shared_hits: u64,
 }
 
 impl<'t> BatchEval<'t> {
-    /// A fused evaluator with scratch reuse and table sharing enabled.
+    /// A fused evaluator bound to the snapshot `ft`.
     pub fn new(ft: &'t FlatTree) -> BatchEval<'t> {
-        BatchEval::with_options(ft, true, true)
-    }
-
-    /// Ablation constructor: toggle scratch reuse and cross-query sub-match
-    /// table sharing independently (the `eval-bench` knobs).
-    pub fn with_options(
-        ft: &'t FlatTree,
-        reuse_scratch: bool,
-        share_tables: bool,
-    ) -> BatchEval<'t> {
         BatchEval {
             ft,
-            scratch: EvalScratch::with_reuse(ft.arena_len(), reuse_scratch),
+            scratch: EvalScratch::new(ft.arena_len()),
             tables: HashMap::new(),
-            share_tables,
             shared_hits: 0,
         }
     }
@@ -617,20 +598,15 @@ impl<'t> BatchEval<'t> {
         let mut sub: Vec<BitSet> = (0..p.len()).map(|_| self.scratch.take()).collect();
         for pi in (0..p.len()).rev() {
             let pid = PatId(pi as u32);
-            if self.share_tables {
-                let fp = p.fingerprint_at(pid);
-                if let Some(cached) = self.tables.get(&fp) {
-                    self.shared_hits += 1;
-                    sub[pi].copy_from(cached);
-                    continue;
-                }
-                seed_node(p, self.ft, pid, &mut sub[pi]);
-                fold_children(p, self.ft, pid, &mut sub, &mut self.scratch);
-                self.tables.insert(fp, sub[pi].clone());
-            } else {
-                seed_node(p, self.ft, pid, &mut sub[pi]);
-                fold_children(p, self.ft, pid, &mut sub, &mut self.scratch);
+            let fp = p.fingerprint_at(pid);
+            if let Some(cached) = self.tables.get(&fp) {
+                self.shared_hits += 1;
+                sub[pi].copy_from(cached);
+                continue;
             }
+            seed_node(p, self.ft, pid, &mut sub[pi]);
+            fold_children(p, self.ft, pid, &mut sub, &mut self.scratch);
+            self.tables.insert(fp, sub[pi].clone());
         }
         sub
     }
@@ -654,8 +630,7 @@ impl<'t> BatchEval<'t> {
     }
 
     /// [`BatchEval::evaluate`] writing the answer into `arena` instead of
-    /// allocating a `Vec` — the run's nodes are identical (the ablation
-    /// suite pins this byte-for-byte).
+    /// allocating a `Vec` — the run's nodes are identical.
     pub fn evaluate_into(&mut self, p: &Pattern, arena: &mut AnswerArena) -> AnswerRef {
         let out = self.output_set(p, None);
         let r = arena.push_run(out.iter().map(|i| NodeId(i as u32)));
@@ -867,19 +842,6 @@ mod tests {
         let outs = evaluate_batch_flat(&ft, &refs);
         for (p, out) in refs.iter().zip(&outs) {
             assert_eq!(*out, evaluate(p, &t));
-        }
-    }
-
-    #[test]
-    fn ablation_arms_agree() {
-        let t = doc();
-        let ft = FlatTree::freeze(&t);
-        let pats: Vec<Pattern> = QUERIES.iter().map(|q| pat(q)).collect();
-        for (reuse, share) in [(true, true), (true, false), (false, true), (false, false)] {
-            let mut batch = BatchEval::with_options(&ft, reuse, share);
-            for p in &pats {
-                assert_eq!(batch.evaluate(p), evaluate(p, &t), "reuse={reuse} share={share}");
-            }
         }
     }
 }

@@ -40,8 +40,8 @@
 //!
 //! For ablation experiments the memo can be disabled
 //! ([`ContainmentOracle::set_memo_enabled`]): the oracle then recomputes
-//! every verdict while still counting the work, which is how the throughput
-//! bench quantifies what memoization buys.
+//! every verdict while still counting the work, which is how a run
+//! quantifies what memoization buys.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -12,12 +12,11 @@
 //!   generates such pools from any query);
 //! * [`adversarial`] — hom-gap, coNP-stress and certificate-free families;
 //! * [`zipf`] — Zipf-skewed query streams over the catalogs (the regime the
-//!   throughput benches and the serving front-end measure);
+//!   wire benchmark and the serving front-end measure);
 //! * [`edits`] — Zipf-skewed, replayable document **edit streams** over a
-//!   configurable insert/delete/relabel mix (the update-bench workload);
+//!   configurable insert/delete/relabel mix (the update workload);
 //! * [`socket_load`] — a wire-protocol load generator over `xpv-net`
-//!   client connections (the socket half of `xpv serve-bench`'s
-//!   transport ablation).
+//!   client connections (the async serving stress tests).
 
 pub mod adversarial;
 pub mod edits;

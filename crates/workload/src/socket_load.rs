@@ -1,13 +1,12 @@
 //! Socket load generation over the xpv wire protocol.
 //!
-//! [`run_socket_load`] is the client side of the serving ablation: it
+//! [`run_socket_load`] is the client side of the socket serving tests: it
 //! opens `connections` protocol connections (one OS thread each — the
 //! *client* may burn threads; the point under test is that the **server**
 //! does not), splits a query stream across them, and pumps batches with a
 //! bounded pipelining depth, respecting each connection's credit window.
-//! The `serve-bench --transport {unix,tcp}` CLI and the async stress
-//! tests both drive their traffic through here so every consumer measures
-//! the same workload shape.
+//! The async stress tests drive their traffic through here so every
+//! consumer measures the same workload shape.
 
 use std::collections::VecDeque;
 use std::io;

@@ -66,11 +66,10 @@
 //! `ViewCache` — and the serving front-end is **async end to end**:
 //! [`AsyncCacheServer`](engine::AsyncCacheServer) multiplexes any number
 //! of wire-protocol connections (TCP / Unix-domain, `xpv listen`) onto a
-//! fixed CPU worker pool with per-connection credit windows, while
-//! [`CacheServer`](engine::CacheServer) keeps the blocking in-process API
-//! as a thin wrapper over the same pool, with per-tenant stats
-//! (`xpv serve-bench --transport {inproc,unix,tcp}` drives both from the
-//! command line).
+//! fixed CPU worker pool with per-connection credit windows, and serves
+//! in-process callers through a blocking `submit` on the same pool, with
+//! per-tenant stats. The wire benchmark (`perfbench/`, declared in
+//! `BENCHMARK.json`) drives it end to end.
 //!
 //! ## Document updates
 //!
@@ -79,8 +78,7 @@
 //! transactional batch of tree edits ([`maintain::Edit`]) and refreshes
 //! every registered view **incrementally** from the edits' affected
 //! regions, invalidating only the plan-memo routes whose participants'
-//! answers actually changed (`xpv update-bench` ablates incremental vs
-//! full-recompute maintenance from the command line).
+//! answers actually changed.
 //!
 //! ```
 //! use xpath_views::prelude::*;
@@ -132,8 +130,8 @@ pub mod prelude {
         Rewriting,
     };
     pub use xpv_engine::{
-        AsyncCacheServer, CacheServer, CacheStats, MaterializedView, Route, ShardedViewCache,
-        TenantStats, ViewCache,
+        AsyncCacheServer, CacheStats, MaterializedView, Route, ShardedViewCache, TenantStats,
+        ViewCache,
     };
     pub use xpv_intersect::{IntersectAnswer, IntersectConfig};
     pub use xpv_model::{parse_xml, to_xml, Label, NodeId, Tree, TreeBuilder};

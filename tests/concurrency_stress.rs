@@ -1,6 +1,6 @@
 //! Concurrency correctness of the sharded serving path.
 //!
-//! The contract of `ShardedViewCache` (and the `CacheServer` pool above it)
+//! The contract of `ShardedViewCache` (and the `AsyncCacheServer` pool above it)
 //! is that concurrency is *invisible* in the answers: the same Zipf
 //! workload produces exactly the nodes and routing verdicts of the
 //! single-threaded `ViewCache`, on any thread schedule. These tests run the
@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use xpath_views::engine::{CacheServer, Route, ShardedViewCache};
+use xpath_views::engine::{AsyncCacheServer, Route, ShardedViewCache};
 use xpath_views::prelude::*;
 use xpath_views::workload::{catalog_zipf_stream, site_catalog, site_doc, site_intersect_catalog};
 
@@ -86,7 +86,7 @@ fn worker_pool_batches_match_single_threaded_answers() {
     let stream = catalog_zipf_stream(&site_catalog(), 320, 0xBEE);
     let want = reference(&stream);
 
-    let server = CacheServer::start(Arc::new(sharded_cache()), THREADS);
+    let server = AsyncCacheServer::start(Arc::new(sharded_cache()), THREADS);
     let tickets: Vec<_> = stream
         .chunks(20)
         .enumerate()

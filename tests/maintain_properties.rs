@@ -378,63 +378,52 @@ fn view_cache_wrapper_applies_edits() {
     );
 }
 
-/// The parallel region fan-out is schedule-invariant: an 8-worker cache
-/// refreshing a bursty clustered stream stays **byte-identical** to a
-/// serial cache — per batch, every probe answer (nodes) and every
-/// surviving route — because disjoint merged regions are combined in
-/// `(view, region root)` order regardless of worker interleaving.
+/// The cache's region fan-out (one scoped thread per core, at most one
+/// per merged region) is schedule-invariant: refreshing a bursty
+/// clustered stream, every view's stored answers equal the serial
+/// `maintain_views(.., Coalesced)` replay of the same batches, and every
+/// probe answers exactly. Width 1 against width 8 on one batch is pinned
+/// by the engine's `region_fanout_width_does_not_change_results`.
 #[test]
 fn parallel_region_refresh_matches_serial() {
     let doc = site_doc(10, 10, 7);
     let catalog = site_catalog();
-    let probes: Vec<Pattern> = catalog_zipf_stream(&catalog, 24, 0xFA17).into_iter().collect();
-
-    let serial = ShardedViewCache::new(doc.clone());
-    serial.set_parallel_regions(false);
-    let parallel = ShardedViewCache::new(doc.clone());
-    parallel.set_region_workers(8);
-    assert!(parallel.parallel_regions(), "fan-out is on by default");
-    assert!(parallel.coalesce_enabled(), "coalescing is on by default");
+    let probes: Vec<Pattern> = catalog_zipf_stream(&catalog, 24, 0xFA17);
+    let cache = ShardedViewCache::new(doc.clone());
     for (name, def) in catalog.views.iter() {
-        serial.add_view(name, def.clone());
-        parallel.add_view(name, def.clone());
-        let _ = (serial.answer(def), parallel.answer(def));
+        cache.add_view(name, def.clone());
     }
     for q in &probes {
-        let _ = (serial.answer(q), parallel.answer(q)); // warm both memos
+        let _ = cache.answer(q); // warm the memo
     }
+    let defs: Vec<&Pattern> = catalog.views.iter().map(|(_, d)| d).collect();
+    let mut serial_doc = doc.clone();
+    let mut serial: Vec<Vec<NodeId>> = defs.iter().map(|d| evaluate(d, &doc)).collect();
 
     // A bursty clustered stream — many edits under few hot subtrees — is
     // exactly the regime that produces multi-region batches to fan out.
     let edits =
         edit_stream_clustered(&doc, 160, EditMix::default(), EditLocality::new(4, 90), 0x5EED);
     for batch in edit_batches(&edits, 8) {
-        let rs = serial.apply_edits(&batch).expect("valid batch");
-        let rp = parallel.apply_edits(&batch).expect("valid batch");
-        assert_eq!(rs.views_refreshed, rp.views_refreshed);
-        assert_eq!(rs.views_changed, rp.views_changed);
-        assert_eq!(rs.routes_dropped, rp.routes_dropped);
+        let report = cache.apply_edits(&batch).expect("valid batch");
+        let (deltas, _) =
+            maintain_views(&mut serial_doc, &defs, &mut serial, &batch, MaintainMode::Coalesced)
+                .expect("valid batch");
+        let changed = deltas.iter().filter(|d| d.answers_changed()).count();
+        assert_eq!(report.views_changed, changed, "fan-out changed the set of changed views");
+        for (view, want) in cache.views_snapshot().iter().zip(&serial) {
+            assert_eq!(view.nodes(), &want[..], "view {} diverged from serial", view.name());
+        }
         for q in &probes {
-            let a = serial.answer(q);
-            let b = parallel.answer(q);
-            assert_eq!(a.nodes, b.nodes, "parallel answers diverged on {q}");
-            assert_eq!(
-                format!("{:?}", a.route),
-                format!("{:?}", b.route),
-                "surviving routes diverged on {q}"
-            );
-            assert_eq!(a.nodes, serial.answer_direct(q), "serial cache wrong on {q}");
+            assert_eq!(cache.answer(q).nodes, evaluate(q, &serial_doc), "wrong answer for {q}");
         }
     }
-    // The fan-out actually ran multi-region batches at the pinned width.
-    let stats = parallel.stats().maintain;
-    assert!(stats.parallel_tasks > 0, "bursty stream produced no fanned-out batches");
-    assert!(stats.parallel_width > 1, "pinned 8 workers, fan-out never exceeded width 1");
-    assert_eq!(
-        stats.regions_scanned,
-        serial.stats().maintain.regions_scanned,
-        "both caches must scan the same merged regions"
-    );
+    // On a multi-core host the fan-out actually ran multi-region batches.
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    if cores > 1 {
+        let stats = cache.stats().maintain;
+        assert!(stats.parallel_tasks > 0, "bursty stream produced no fanned-out batches");
+    }
 }
 
 /// 8-thread stress: one updater applies edit batches while 7 readers

@@ -14,7 +14,7 @@
 //!   `k`-node test of `P`;
 //! * **height / label-set bounds** — `height(R) ≤ height(P≥k)` and
 //!   `labels(R) ⊆ labels(P≥k)` (from the Proposition 3.4 proof);
-//! * **isomorphism dedup** — candidates are deduplicated by canonical key
+//! * **isomorphism dedup** — candidates are deduplicated by canonical code
 //!   (sibling order and duplicate sibling subtrees never matter).
 //!
 //! The enumeration is breadth-first by size. It is **complete up to the size
@@ -149,7 +149,7 @@ pub fn brute_force_rewrite_with_oracle(
     label_pool.push(NodeTest::Wildcard);
 
     let mut stats = BruteForceStats::default();
-    let mut seen: HashSet<String> = HashSet::new();
+    let mut seen: HashSet<Box<[u32]>> = HashSet::new();
 
     // Necessary conditions for R∘V ≡ P, derived from Proposition 3.1(2):
     // (R∘V)≥k ≡w P≥k, and weakly equivalent patterns share height and label
@@ -169,7 +169,7 @@ pub fn brute_force_rewrite_with_oracle(
                 cur = r.add_child(cur, axes_choice[i], t);
             }
             r.set_output(cur);
-            if seen.insert(r.canonical_key()) {
+            if seen.insert(r.canonical_code()) {
                 stats.generated += 1;
                 queue.push(r);
             }
@@ -233,7 +233,7 @@ pub fn brute_force_rewrite_with_oracle(
                 for &test in &label_pool {
                     let mut grown = r.clone();
                     grown.add_child(parent, axis, test);
-                    if seen.insert(grown.canonical_key()) {
+                    if seen.insert(grown.canonical_code()) {
                         stats.generated += 1;
                         queue.push(grown);
                     }

@@ -11,8 +11,9 @@
 //!   routes index into an append-only pool so memoized routes stay valid;
 //! * the **plan memo** is partitioned into `N` lock shards keyed by the
 //!   query's structural fingerprint; a repeated query takes a shared read
-//!   lock on its shard, bumps an atomic recency tick, and clones its route
-//!   out — no write lock on the hot path;
+//!   lock on its shard, bumps an atomic recency tick, and shares its
+//!   memoized route (a refcount bump, no allocation) — no write lock on
+//!   the hot path;
 //! * all counters are atomics, aggregated into a [`CacheStats`] snapshot on
 //!   demand;
 //! * planning flows through one shared [`PlanningSession`] (the
@@ -64,6 +65,15 @@
 //! **participant-aware** in the same way: it drops exactly the routes whose
 //! participants' answer sets the batch changed; `Direct` routes and
 //! untouched view/intersection routes survive document edits outright.
+//!
+//! The cap bounds the plan memo only. Planning also feeds the session's
+//! containment oracle, whose pattern interner and verdict/homomorphism
+//! memos are append-only and grow with every distinct query whatever the
+//! cap: on ad-hoc traffic (the benchmark's `cold_plan` shape, every query
+//! new, 38 views, all routes `Direct`) one distinct query leaves ≈340 B and
+//! one heap block behind: its plan-memo slot (a few words for a `Direct`
+//! route) plus, in the oracle, its interned canonical code, hash-table
+//! slot, and verdicts. Bounding the oracle is not done yet.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -137,6 +147,12 @@ impl StateSnapshot {
             return Some(hint);
         }
         self.ids.iter().position(|&x| x == id)
+    }
+
+    /// The current pool indices of an intersection route's participants,
+    /// `None` when any of them is gone.
+    fn resolve_all(&self, plan: &IntersectPlan) -> Option<Vec<usize>> {
+        plan.ids.iter().zip(&plan.hints).map(|(&id, &hint)| self.resolve(id, hint)).collect()
     }
 }
 
@@ -352,16 +368,44 @@ impl std::fmt::Display for CacheStats {
 /// **stable id** (plus a pool-index hint for O(1) resolution), so they stay
 /// meaningful while the pool grows, shrinks, or is refreshed in place; a
 /// route whose id no longer resolves degrades soundly to direct evaluation.
+///
+/// Payloads sit behind `Arc`s: a memo hit clones a pointer, never a
+/// pattern, and a `Direct` entry costs one word.
 #[derive(Clone, Debug)]
-pub(crate) enum PlannedRoute {
-    /// Serve from the view with stable id `id` through `rewriting`.
-    ViaView { id: ViewId, hint: usize, rewriting: Pattern },
-    /// Serve from the node-set intersection of the views with these stable
-    /// ids (pool order) through `compensation`.
-    Intersect { ids: Vec<ViewId>, hints: Vec<usize>, compensation: Pattern },
+enum PlannedRoute {
+    /// Serve from one view through a rewriting.
+    ViaView(Arc<ViewPlan>),
+    /// Serve from the node-set intersection of several views through a
+    /// compensation.
+    Intersect(Arc<IntersectPlan>),
     /// No registered view (or view intersection) admits an equivalent
     /// rewriting.
     Direct,
+}
+
+/// The payload of [`PlannedRoute::ViaView`].
+#[derive(Debug)]
+struct ViewPlan {
+    /// Stable id of the view, and its pool index when planned.
+    id: ViewId,
+    hint: usize,
+    rewriting: Pattern,
+    /// The provenance answers report, rendered once at plan time: a view's
+    /// name never changes under its id (`replace_view` issues a new id).
+    route: Arc<Route>,
+}
+
+/// The payload of [`PlannedRoute::Intersect`].
+#[derive(Debug)]
+struct IntersectPlan {
+    /// Stable ids of the participants in pool order (shared with the
+    /// entry's [`PlanDep::Intersect`]), and their pool indices when planned.
+    ids: Arc<[ViewId]>,
+    hints: Vec<usize>,
+    compensation: Pattern,
+    /// Rendered once at plan time; removals never reorder the surviving
+    /// participants, so their names keep this order.
+    route: Arc<Route>,
 }
 
 /// What a memoized plan depends on — the invalidation granularity of
@@ -388,7 +432,7 @@ enum PlanDep {
     /// single-view scan: any append invalidates it (a single-view route may
     /// become available), as does removing — or editing the answers of —
     /// any participant.
-    Intersect(Vec<ViewId>),
+    Intersect(Arc<[ViewId]>),
 }
 
 /// One plan-memo entry.
@@ -644,6 +688,9 @@ pub struct ShardedViewCache {
     /// sleeps while holding the write gate (0 = disabled). Lets the
     /// watchdog integration tests manufacture a wedged maintenance pass.
     maintain_pause_us: AtomicU64,
+    /// The provenance of every direct answer, shared rather than allocated
+    /// per answer.
+    direct_route: Arc<Route>,
     /// Latency histograms + the metric registry (see [`CacheObs`]).
     pub(crate) obs: CacheObs,
 }
@@ -684,6 +731,7 @@ impl ShardedViewCache {
             views_refreshed_incrementally: AtomicU64::new(0),
             snapshot_read_stalls: AtomicU64::new(0),
             maintain_pause_us: AtomicU64::new(0),
+            direct_route: Arc::new(Route::Direct),
             obs: CacheObs::new(),
         }
     }
@@ -699,11 +747,14 @@ impl ShardedViewCache {
     /// Bounds the plan memo to at most `cap` entries in total (builder
     /// style; `0` means unbounded). The bound is **global** across shards
     /// — a live atomic entry count gates every insert — with
-    /// least-recently-used eviction inside the inserting shard, so a
-    /// long-running cache serving an unbounded query universe keeps a
-    /// working set instead of growing forever. A full memo whose inserting
-    /// shard happens to be empty skips memoizing that route rather than
-    /// exceed the bound.
+    /// least-recently-used eviction inside the inserting shard. A full memo
+    /// whose inserting shard happens to be empty skips memoizing that route
+    /// rather than exceed the bound.
+    ///
+    /// The cap does not bound the cache's memory: the session oracle's
+    /// interner and verdict memos still grow with every distinct query
+    /// (≈340 B per query on ad-hoc traffic; see the module docs' "Memo
+    /// lifecycle").
     pub fn with_memo_cap(mut self, cap: usize) -> ShardedViewCache {
         self.memo_cap = if cap == 0 { usize::MAX } else { cap };
         self
@@ -733,6 +784,21 @@ impl ShardedViewCache {
     /// Total plan-memo entries currently held across all shards.
     pub fn plan_memo_len(&self) -> usize {
         self.shards.iter().map(|s| s.memo.read().expect("plan memo poisoned").len()).sum()
+    }
+
+    /// The route the plan memo holds for `query` (or any isomorph), without
+    /// planning, counting a query, refreshing its recency, or interning
+    /// anything: `None` when the query has not been planned, or its entry
+    /// was evicted or invalidated. The returned route is the one memo hits
+    /// share, so the lookup allocates nothing.
+    pub fn memoized_route(&self, query: &Pattern) -> Option<Arc<Route>> {
+        let (key, fp) = self.session.oracle().lookup_fingerprinted(query)?;
+        let memo = self.shard_for(fp).memo.read().expect("plan memo poisoned");
+        Some(match &memo.get(&key)?.route {
+            PlannedRoute::ViaView(plan) => Arc::clone(&plan.route),
+            PlannedRoute::Intersect(plan) => Arc::clone(&plan.route),
+            PlannedRoute::Direct => Arc::clone(&self.direct_route),
+        })
     }
 
     /// The total memo entry bound (`usize::MAX` when unbounded).
@@ -1317,7 +1383,12 @@ impl ShardedViewCache {
                 }
                 ChoicePolicy::SmallestView => PlanDep::WholePool,
             };
-            return (PlannedRoute::ViaView { id: snap.ids[index], hint: index, rewriting }, dep);
+            let route = Arc::new(Route::ViaView {
+                view: views[index].name().to_string(),
+                rewriting: rewriting.to_string(),
+            });
+            let plan = ViewPlan { id: snap.ids[index], hint: index, rewriting, route };
+            return (PlannedRoute::ViaView(Arc::new(plan)), dep);
         }
         // No single view rewrites the query: try a multi-view intersection.
         if self.intersect_enabled() && views.len() >= 2 {
@@ -1340,16 +1411,18 @@ impl ShardedViewCache {
                     .stats
                     .intersect_participants
                     .fetch_add(answer.views.len() as u64, Ordering::Relaxed);
-                let ids: Vec<ViewId> = answer.views.iter().map(|&i| snap.ids[i]).collect();
-                let dep = PlanDep::Intersect(ids.clone());
-                return (
-                    PlannedRoute::Intersect {
-                        ids,
-                        hints: answer.views,
-                        compensation: answer.compensation,
-                    },
-                    dep,
-                );
+                let ids: Arc<[ViewId]> = answer.views.iter().map(|&i| snap.ids[i]).collect();
+                let route = Arc::new(Route::Intersect {
+                    views: answer.views.iter().map(|&i| views[i].name().to_string()).collect(),
+                    compensation: answer.compensation.to_string(),
+                });
+                let plan = IntersectPlan {
+                    ids: Arc::clone(&ids),
+                    hints: answer.views,
+                    compensation: answer.compensation,
+                    route,
+                };
+                return (PlannedRoute::Intersect(Arc::new(plan)), PlanDep::Intersect(ids));
             }
         }
         (PlannedRoute::Direct, PlanDep::NoUsableView)
@@ -1365,52 +1438,35 @@ impl ShardedViewCache {
     fn execute(
         &self,
         query: &Pattern,
-        route: PlannedRoute,
+        route: &PlannedRoute,
         shard: &CacheShard,
         snap: &StateSnapshot,
         batch: &mut BatchEval<'_>,
         arena: &mut AnswerArena,
-    ) -> (AnswerRef, Route) {
+    ) -> (AnswerRef, Arc<Route>) {
         match route {
-            PlannedRoute::ViaView { id, hint, rewriting } => {
-                if let Some(index) = snap.resolve(id, hint) {
+            PlannedRoute::ViaView(plan) => {
+                if let Some(index) = snap.resolve(plan.id, plan.hint) {
                     bump(&shard.stats.view_hits);
-                    let view = &snap.views[index];
-                    let nodes = batch.evaluate_anchored_into(&rewriting, view.nodes(), arena);
-                    return (
-                        nodes,
-                        Route::ViaView {
-                            view: view.name().to_string(),
-                            rewriting: rewriting.to_string(),
-                        },
-                    );
+                    let view_nodes = snap.views[index].nodes();
+                    let nodes = batch.evaluate_anchored_into(&plan.rewriting, view_nodes, arena);
+                    return (nodes, Arc::clone(&plan.route));
                 }
             }
-            PlannedRoute::Intersect { ids, hints, compensation } => {
-                let indices: Option<Vec<usize>> =
-                    ids.iter().zip(&hints).map(|(&id, &hint)| snap.resolve(id, hint)).collect();
-                if let Some(indices) = indices {
+            PlannedRoute::Intersect(plan) => {
+                if let Some(indices) = snap.resolve_all(plan) {
                     bump(&shard.stats.intersect_hits);
                     let sets: Vec<&[NodeId]> =
                         indices.iter().map(|&i| snap.views[i].nodes()).collect();
                     let anchors = intersect_node_sets(snap.doc.arena_len(), &sets);
-                    let nodes = batch.evaluate_anchored_into(&compensation, &anchors, arena);
-                    return (
-                        nodes,
-                        Route::Intersect {
-                            views: indices
-                                .iter()
-                                .map(|&i| snap.views[i].name().to_string())
-                                .collect(),
-                            compensation: compensation.to_string(),
-                        },
-                    );
+                    let nodes = batch.evaluate_anchored_into(&plan.compensation, &anchors, arena);
+                    return (nodes, Arc::clone(&plan.route));
                 }
             }
             PlannedRoute::Direct => {}
         }
         bump(&shard.stats.direct);
-        (batch.evaluate_into(query, arena), Route::Direct)
+        (batch.evaluate_into(query, arena), Arc::clone(&self.direct_route))
     }
 
     /// Answers `query`, preferring an equivalent rewriting over any
@@ -1445,11 +1501,11 @@ impl ShardedViewCache {
         let planning = plan_start.elapsed();
 
         let eval_start = Instant::now();
-        let (nodes, route) = self.execute(query, route, shard, snap, batch, arena);
+        let (nodes, route) = self.execute(query, &route, shard, snap, batch, arena);
         let evaluation = eval_start.elapsed();
         self.obs.plan_us.record_duration(planning);
         self.obs.eval_us.record_duration(evaluation);
-        CacheAnswerRef { nodes, route: Arc::new(route), planning, evaluation }
+        CacheAnswerRef { nodes, route, planning, evaluation }
     }
 
     /// Answers a whole workload slice in one pass; answers come back in
@@ -1598,20 +1654,18 @@ impl ShardedViewCache {
         bump(&shard.stats.queries);
         let views = &snap.views;
         match route {
-            PlannedRoute::ViaView { id, hint, rewriting } => {
-                if let Some(index) = snap.resolve(id, hint) {
+            PlannedRoute::ViaView(plan) => {
+                if let Some(index) = snap.resolve(plan.id, plan.hint) {
                     bump(&shard.stats.view_hits);
-                    return Some((views[index].apply_virtual(&rewriting, &snap.doc), true));
+                    return Some((views[index].apply_virtual(&plan.rewriting, &snap.doc), true));
                 }
             }
-            PlannedRoute::Intersect { ids, hints, compensation } => {
-                let indices: Option<Vec<usize>> =
-                    ids.iter().zip(&hints).map(|(&id, &hint)| snap.resolve(id, hint)).collect();
-                if let Some(indices) = indices {
+            PlannedRoute::Intersect(plan) => {
+                if let Some(indices) = snap.resolve_all(&plan) {
                     bump(&shard.stats.intersect_hits);
                     let sets: Vec<&[NodeId]> = indices.iter().map(|&i| views[i].nodes()).collect();
                     return Some((
-                        answer_intersection_virtual(&snap.doc, &sets, &compensation),
+                        answer_intersection_virtual(&snap.doc, &sets, &plan.compensation),
                         true,
                     ));
                 }

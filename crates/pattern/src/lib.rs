@@ -18,7 +18,8 @@
 //!   the `xpv-intersect` multi-view rewriter);
 //! * a parser ([`parse_xpath`]) and printer ([`to_xpath`]) for the fragment's
 //!   XPath syntax `q ::= q/q | q//q | q[q] | l | *`;
-//! * structural hashing and interning ([`Pattern::fingerprint`],
+//! * packed canonical codes, structural hashing and interning
+//!   ([`Pattern::canonical_code`], [`Pattern::fingerprint_at`],
 //!   [`PatternInterner`] / [`PatternKey`]) — stable under sibling
 //!   reordering — so patterns can serve as cheap memo keys for the
 //!   containment oracle in `xpv-semantics`;
@@ -45,7 +46,7 @@ pub use classify::{
     selection_node_labeled, selection_prefix_all_child, stability_witness, star_chain_len,
     FragmentFlags, GnfCase, StabilityWitness,
 };
-pub use intern::{PatternInterner, PatternKey};
+pub use intern::{code_fingerprint, PatternInterner, PatternKey};
 pub use ops::{compose, compose_chain, intersect_patterns};
 pub use parse::{parse_xpath, ParseError};
 pub use pattern::{Axis, NodeTest, PatId, Pattern, PatternBuilder};

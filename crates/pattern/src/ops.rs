@@ -171,9 +171,8 @@ impl Pattern {
                         if selection.contains(&b) {
                             continue;
                         }
-                        if out.axis(a) == out.axis(b)
-                            && subtree_key(&out, a) == subtree_key(&out, b)
-                        {
+                        // A subtree's code starts with its incoming axis.
+                        if out.canonical_code_at(a) == out.canonical_code_at(b) {
                             victim = Some(b);
                             break 'outer;
                         }
@@ -199,10 +198,6 @@ impl Pattern {
         out.set_output(new_out);
         out
     }
-}
-
-fn subtree_key(p: &Pattern, n: PatId) -> String {
-    format!("{}{}", p.axis(n).separator(), p.canonical_key_at(n))
 }
 
 /// Pattern composition `R ◦ V` (Section 2.3).

@@ -327,17 +327,13 @@ impl Pattern {
         new_n
     }
 
-    /// A canonical serialization under unordered-pattern isomorphism that
-    /// respects node tests, edge axes, and the output marker: two patterns
-    /// are isomorphic (in the sense used by Proposition 3.4's candidate set)
-    /// iff their keys are equal.
+    /// A human-readable canonical serialization under unordered-pattern
+    /// isomorphism that respects node tests, edge axes, and the output
+    /// marker (`!`): two patterns are isomorphic iff their keys are equal.
+    /// A debugging and test helper — the engine compares patterns by their
+    /// packed [`Pattern::canonical_code`], which has the same equality
+    /// without building strings.
     pub fn canonical_key(&self) -> String {
-        self.canonical_key_at(self.root())
-    }
-
-    /// The canonical key of the subtree rooted at `n` (output marker
-    /// included if the output node lies inside it).
-    pub fn canonical_key_at(&self, n: PatId) -> String {
         fn rec(p: &Pattern, n: PatId, out: PatId) -> String {
             let mut child_keys: Vec<String> = p
                 .children(n)
@@ -362,12 +358,13 @@ impl Pattern {
             s.push(')');
             s
         }
-        rec(self, n, self.output)
+        rec(self, self.root(), self.output)
     }
 
-    /// Unordered-pattern isomorphism (same shape, tests, axes, output).
+    /// Unordered-pattern isomorphism (same shape, tests, axes, output):
+    /// equality of [`Pattern::canonical_code`]s.
     pub fn structurally_eq(&self, other: &Pattern) -> bool {
-        self.len() == other.len() && self.canonical_key() == other.canonical_key()
+        self.len() == other.len() && self.canonical_code() == other.canonical_code()
     }
 }
 

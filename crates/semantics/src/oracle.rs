@@ -9,8 +9,9 @@
 //! repeated traffic re-decides identical `(P, V)` pairs on every arrival.
 //!
 //! [`ContainmentOracle`] makes that sharing explicit. It interns patterns
-//! into [`PatternKey`]s (structural identity, sibling order ignored) and
-//! keeps a **two-level memo**:
+//! into [`PatternKey`]s (structural identity, sibling order ignored; the
+//! interner stores each pattern's packed canonical code, not the pattern)
+//! and keeps a **two-level memo**:
 //!
 //! 1. **homomorphism witnesses** — the PTIME fast path, keyed by
 //!    `(q, p, mode)`; a hit skips the matcher entirely;
@@ -38,6 +39,16 @@
 //! behavior; long-lived components hold an oracle (usually inside an
 //! `xpv_core::PlanningSession`) and route every decision through it.
 //!
+//! ## Memory
+//!
+//! Nothing here is ever evicted: the interner keeps one packed canonical
+//! code per distinct pattern (one heap block, `8 · |nodes|` bytes plus a
+//! table slot), and each memo level one small fixed-size slot per distinct
+//! question. A long-lived oracle therefore grows with every distinct
+//! pattern it decides — ≈340 B per distinct query on ad-hoc serving
+//! traffic, interner and memos together — and no cache-level cap bounds
+//! it.
+//!
 //! For ablation experiments the memo can be disabled
 //! ([`ContainmentOracle::set_memo_enabled`]): the oracle then recomputes
 //! every verdict while still counting the work, which is how a run
@@ -48,7 +59,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use xpv_pattern::{Pattern, PatternInterner, PatternKey};
+use xpv_pattern::{code_fingerprint, Pattern, PatternInterner, PatternKey};
 
 use crate::canonical::expansion_bound;
 use crate::contain::{canonical_loop, ContainmentOptions, ContainmentOutcome};
@@ -181,7 +192,7 @@ struct MemoShard {
 }
 
 /// Mixes a pair of interned keys into a shard index (splitmix64 avalanche,
-/// same mixer as `Pattern::fingerprint`).
+/// same mixer as `Pattern::fingerprint_at`).
 #[inline]
 fn shard_of(k1: PatternKey, k2: PatternKey, nshards: usize) -> usize {
     let mut h = ((k1.index() as u64) << 32) ^ (k2.index() as u64) ^ 0x9E37_79B9_7F4A_7C15;
@@ -296,30 +307,35 @@ impl ContainmentOracle {
         self.intern_fingerprinted(p).0
     }
 
-    /// Interns `p`, returning its structural key together with the 64-bit
-    /// structural fingerprint (callers that shard by query — the
+    /// Interns `p`, returning its structural key together with a 64-bit
+    /// fingerprint of its canonical code (callers that shard by query — the
     /// `ShardedViewCache` — reuse the hash instead of recomputing it).
+    ///
+    /// The code is built once, in a per-thread buffer, and compared as a
+    /// word slice: an already-interned pattern is found under the shared
+    /// read lock without allocating.
     pub fn intern_fingerprinted(&self, p: &Pattern) -> (PatternKey, u64) {
-        let fp = p.fingerprint();
-        // Fast path: already interned (shared read lock).
-        if let Some(key) =
-            self.interner.read().expect("oracle interner poisoned").lookup_prehashed(fp, p)
-        {
-            return (key, fp);
-        }
-        let key = self.interner.write().expect("oracle interner poisoned").intern_prehashed(fp, p);
-        (key, fp)
+        p.with_canonical_code(|code| {
+            let fp = code_fingerprint(code);
+            // Fast path: already interned (shared read lock).
+            if let Some(key) =
+                self.interner.read().expect("oracle interner poisoned").lookup_code(code)
+            {
+                return (key, fp);
+            }
+            let key = self.interner.write().expect("oracle interner poisoned").intern_code(code);
+            (key, fp)
+        })
     }
 
-    /// A clone of the representative pattern of an interned key. (Returns an
-    /// owned pattern rather than a reference because the interner lives
-    /// behind the concurrency lock.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` comes from a different oracle.
-    pub fn resolve(&self, key: PatternKey) -> Pattern {
-        self.interner.read().expect("oracle interner poisoned").resolve(key).clone()
+    /// [`ContainmentOracle::intern_fingerprinted`] for a pattern interned
+    /// already, `None` otherwise; never grows the interner, so a read-only
+    /// probe of a serving cache leaves no trace.
+    pub fn lookup_fingerprinted(&self, p: &Pattern) -> Option<(PatternKey, u64)> {
+        p.with_canonical_code(|code| {
+            let key = self.interner.read().expect("oracle interner poisoned").lookup_code(code)?;
+            Some((key, code_fingerprint(code)))
+        })
     }
 
     /// Memoized homomorphism existence `q → p` under `mode`.

@@ -161,6 +161,13 @@ fn add_view_invalidates_only_dependent_memo_entries() {
 /// The configured memo bound holds under concurrent load (the per-shard LRU
 /// enforces it inside the insert lock), and evicted entries are re-planned
 /// correctly on their next arrival.
+///
+/// Every check holds under any thread schedule: six distinct queries
+/// always fill a cap of four (an insert is skipped only at a full memo, and
+/// evict-and-replace is net zero), and each distinct query misses at least
+/// once. Whether a miss evicts depends on the schedule — a miss whose shard
+/// is empty skips memoizing instead — so the LRU order itself is pinned by
+/// the one-shard unit test `memo_cap_bounds_entries_and_evicts_lru`.
 #[test]
 fn memo_cap_holds_under_concurrent_load() {
     let cap = 4usize;
@@ -183,13 +190,12 @@ fn memo_cap_holds_under_concurrent_load() {
             });
         }
     });
-    assert!(
-        cache.plan_memo_len() <= cap,
-        "memo holds {} entries, cap is {cap}",
-        cache.plan_memo_len()
-    );
+    let distinct: std::collections::HashSet<String> =
+        stream.iter().map(|q| q.canonical_key()).collect();
+    assert_eq!(distinct.len(), 6, "the stream covers the whole catalog");
+    assert_eq!(cache.plan_memo_len(), cap, "six distinct queries fill a cap of {cap}");
     let s = cache.stats();
-    assert!(s.plan_memo_evictions > 0, "six distinct queries must overflow a cap of {cap}");
+    assert!(s.plan_memo_misses >= 6, "each distinct query misses at least once: {s}");
     assert_eq!(s.queries, s.plan_memo_hits + s.plan_memo_misses);
 }
 

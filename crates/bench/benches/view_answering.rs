@@ -11,7 +11,8 @@ use std::hint::black_box;
 
 use xpv_core::{RewriteAnswer, RewritePlanner};
 use xpv_engine::MaterializedView;
-use xpv_semantics::evaluate;
+use xpv_model::FlatTree;
+use xpv_semantics::{evaluate, evaluate_flat};
 use xpv_workload::{site_catalog, site_doc};
 
 fn view_vs_direct(c: &mut Criterion) {
@@ -26,7 +27,8 @@ fn view_vs_direct(c: &mut Criterion) {
         // catalog's item_names query (planning is done once; the cache would
         // amortize it identically).
         let view_def = catalog.views[0].1.clone();
-        let view = MaterializedView::materialize("items", view_def.clone(), &doc);
+        let flat = FlatTree::freeze(&doc);
+        let view = MaterializedView::materialize("items", view_def.clone(), &flat);
         let query = catalog
             .queries
             .iter()
@@ -37,16 +39,17 @@ fn view_vs_direct(c: &mut Criterion) {
             RewriteAnswer::Rewriting(rw) => rw.pattern().clone(),
             other => panic!("expected rewriting for the bench query, got {other:?}"),
         };
-        // Correctness anchor.
-        assert_eq!(view.apply_virtual(&rewriting, &doc), evaluate(&query, &doc));
+        // Correctness anchor (the `Tree` evaluator is the oracle).
+        assert_eq!(view.apply_virtual(&rewriting, &flat), evaluate(&query, &doc));
 
-        group.bench_with_input(BenchmarkId::new("direct", doc.len()), &doc, |b, doc| {
-            b.iter(|| evaluate(black_box(&query), doc))
+        // Both arms run the flat matcher on the same frozen document.
+        group.bench_with_input(BenchmarkId::new("direct", doc.len()), &flat, |b, flat| {
+            b.iter(|| evaluate_flat(black_box(&query), flat))
         });
         group.bench_with_input(
             BenchmarkId::new("via_view", doc.len()),
-            &(&view, &doc),
-            |b, (view, doc)| b.iter(|| view.apply_virtual(black_box(&rewriting), doc)),
+            &(&view, &flat),
+            |b, (view, flat)| b.iter(|| view.apply_virtual(black_box(&rewriting), flat)),
         );
     }
     group.finish();
@@ -80,12 +83,13 @@ fn materialization(c: &mut Criterion) {
     let mut group = c.benchmark_group("materialize_views");
     for scale in [8usize, 16] {
         let doc = site_doc(scale, scale, 7);
-        group.bench_with_input(BenchmarkId::from_parameter(doc.len()), &doc, |b, doc| {
+        let flat = FlatTree::freeze(&doc);
+        group.bench_with_input(BenchmarkId::from_parameter(doc.len()), &flat, |b, flat| {
             b.iter(|| {
                 catalog
                     .views
                     .iter()
-                    .map(|(n, v)| MaterializedView::materialize(*n, v.clone(), doc).len())
+                    .map(|(n, v)| MaterializedView::materialize(*n, v.clone(), flat).len())
                     .sum::<usize>()
             })
         });

@@ -24,9 +24,11 @@ use xpv_core::{
     brute_force_rewrite, BruteForceConfig, BruteForceOutcome, RewriteAnswer, RewritePlanner,
 };
 use xpv_engine::MaterializedView;
+use xpv_model::FlatTree;
 use xpv_pattern::compose;
 use xpv_semantics::{
-    contained, contained_with, equivalent, evaluate, expansion_bound, ContainmentOptions,
+    contained, contained_with, equivalent, evaluate, evaluate_flat, expansion_bound,
+    ContainmentOptions,
 };
 use xpv_workload::{
     conp_stress_instance, hom_gap_instance, no_condition_instance, site_catalog, site_doc, Fragment,
@@ -298,7 +300,8 @@ fn table_c2(quick: bool) {
         let doc = site_doc(scale, scale, 7);
         // Selective view: the bids (a small slice of the document).
         let view_def = pat("site//bid");
-        let view = MaterializedView::materialize("bids", view_def.clone(), &doc);
+        let flat = FlatTree::freeze(&doc);
+        let view = MaterializedView::materialize("bids", view_def.clone(), &flat);
         let (_, query) =
             catalog.queries.iter().find(|(n, _)| *n == "bid_prices").expect("catalog query");
         let rewriting = match planner.decide(query, &view_def) {
@@ -308,23 +311,24 @@ fn table_c2(quick: bool) {
         // Correctness: virtual equals direct (node identity); materialized
         // equals both by value.
         let direct_answer = evaluate(query, &doc);
-        assert_eq!(view.apply_virtual(&rewriting, &doc), direct_answer);
+        assert_eq!(view.apply_virtual(&rewriting, &flat), direct_answer);
         assert_eq!(
-            view.apply_materialized(&rewriting).len(),
+            view.apply_materialized(&rewriting, &doc).len(),
             xpv_engine::answer_value_set(&doc, &direct_answer).len()
         );
 
         let reps = if quick { 5 } else { 20 };
         let (mut td, mut tv, mut tm) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..reps {
-            let (_, d) = time(|| evaluate(query, &doc));
+            let (_, d) = time(|| evaluate_flat(query, &flat));
             td.push(d);
-            let (_, d) = time(|| view.apply_virtual(&rewriting, &doc));
+            let (_, d) = time(|| view.apply_virtual(&rewriting, &flat));
             tv.push(d);
-            let (_, d) = time(|| view.apply_materialized(&rewriting));
+            let (_, d) = time(|| view.apply_materialized(&rewriting, &doc));
             tm.push(d);
         }
-        let view_size: usize = view.trees().iter().map(xpv_model::Tree::len).sum();
+        let view_size: usize =
+            view.nodes().iter().map(|&n| doc.descendants_inclusive(n).len()).sum();
         let (md, mv, mm) = (mean_micros(&td), mean_micros(&tv), mean_micros(&tm));
         println!(
             "{scale:<8} {:>9} {view_size:>10} {md:>10.1}µs {mv:>10.1}µs {mm:>8.1}µs {:>9.2}x",

@@ -15,9 +15,9 @@
 //!
 //! Since the serving path was sharded, `ViewCache` is a **thin
 //! single-threaded wrapper over one shard** of the concurrent
-//! [`ShardedViewCache`](crate::ShardedViewCache): identical planning, plan
-//! memo, statistics, and answers, with the familiar `&mut self` API and no
-//! locking overhead beyond one uncontended shard. Use `ShardedViewCache`
+//! [`ShardedViewCache`]: identical planning, plan memo, statistics, and
+//! answers, with the familiar `&mut self` API and no locking overhead
+//! beyond one uncontended shard. Use `ShardedViewCache`
 //! (or the [`AsyncCacheServer`](crate::AsyncCacheServer) worker pool) when
 //! multiple threads must answer concurrently.
 //!
@@ -50,7 +50,7 @@ use xpv_model::{AnswerArena, NodeId, Tree};
 use xpv_pattern::Pattern;
 
 pub use crate::shard::{CacheAnswer, CacheAnswerRef, CacheStats, ChoicePolicy, Route};
-use crate::shard::{ShardedViewCache, UpdateReport};
+use crate::shard::{ShardedViewCache, UpdateReport, ViewPool};
 use crate::view::MaterializedView;
 
 /// A set of materialized views over a single document, with rewriting-based
@@ -61,7 +61,7 @@ pub struct ViewCache {
     inner: ShardedViewCache,
     /// Mirror of the inner view pool so [`ViewCache::views`] can hand out a
     /// plain slice (the concurrent pool lives behind a lock).
-    views_mirror: Arc<Vec<MaterializedView>>,
+    views_mirror: ViewPool,
     /// Mirror of the inner document so [`ViewCache::document`] can hand out
     /// a plain reference (refreshed after every `apply_edits`).
     doc_mirror: Arc<Tree>,
@@ -190,7 +190,7 @@ impl ViewCache {
     }
 
     /// The registered views.
-    pub fn views(&self) -> &[MaterializedView] {
+    pub fn views(&self) -> &[Arc<MaterializedView>] {
         &self.views_mirror
     }
 

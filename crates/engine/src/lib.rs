@@ -3,10 +3,11 @@
 //! The application layer of the `xpath-views` workspace (Afrati et al.,
 //! EDBT 2009 reproduction): materialize view patterns over XML documents
 //! ([`MaterializedView`]) and answer queries from them whenever the
-//! [`xpv_core::RewritePlanner`] certifies an equivalent rewriting. Both the
-//! virtual (node-identity) and materialized (subtree-copy) representations
-//! of `V(t)` are supported, and Proposition 2.4 — `R ◦ V (t) = R(V(t))` —
-//! is the correctness contract the tests enforce end to end.
+//! [`xpv_core::RewritePlanner`] certifies an equivalent rewriting. A view
+//! stores one form of `V(t)`, its output-node set, computed by the flat
+//! matcher on the frozen document; by-value subtree copies are built on
+//! demand from those nodes. Proposition 2.4 — `R ◦ V (t) = R(V(t))` — is
+//! the correctness contract the tests enforce end to end.
 //!
 //! ## Architecture: shard → cache → serve
 //!
@@ -89,7 +90,7 @@ pub use shard::{
     ViewId, DEFAULT_CACHE_SHARDS,
 };
 pub use tenants::TenantStats;
-pub use view::{answer_value_set, MaterializedDelta, MaterializedView};
+pub use view::{answer_value_set, MaterializedView};
 // Re-exported so embedders can tune the intersection planner without a
 // direct `xpv-intersect` dependency.
 pub use xpv_intersect::IntersectConfig;

@@ -6,9 +6,10 @@
 //! threads over one cache). Every serving method takes **`&self`**:
 //!
 //! * the **view pool** is a copy-on-write snapshot
-//!   (`RwLock<Arc<Vec<MaterializedView>>>`): answering threads clone the
-//!   `Arc` and never block behind [`ShardedViewCache::add_view`], and plan
-//!   routes index into an append-only pool so memoized routes stay valid;
+//!   (`RwLock<Arc<[Arc<MaterializedView>]>>`): answering threads clone the
+//!   `Arc` and never block behind [`ShardedViewCache::add_view`]; pool
+//!   entries are shared between snapshots, so growing, shrinking or
+//!   refreshing the pool copies pointers, never views;
 //! * the **plan memo** is partitioned into `N` lock shards keyed by the
 //!   query's structural fingerprint; a repeated query takes a shared read
 //!   lock on its shard, bumps an atomic recency tick, and shares its
@@ -39,7 +40,7 @@
 //! registered view from the edits' affected regions (ancestor spine +
 //! touched subtree) instead of re-materializing the world — see the
 //! `xpv-maintain` crate for the correctness argument. The document and the
-//! view pool live in one copy-on-write [`StateSnapshot`] behind a single
+//! view pool live in one copy-on-write `StateSnapshot` behind a single
 //! lock, so answering threads always see a *consistent* (document, views)
 //! pair, never an edited document with stale views or vice versa.
 //!
@@ -48,7 +49,7 @@
 //! The memo is **bounded** (per-shard LRU over a configurable total entry
 //! cap, [`ShardedViewCache::with_memo_cap`]) and **selectively
 //! invalidated**: each entry records the stable [`ViewId`]s its plan
-//! depends on ([`PlanDep`]), and [`ShardedViewCache::add_view`] only drops
+//! depends on (`PlanDep`), and [`ShardedViewCache::add_view`] only drops
 //! entries whose plan actually depends on the grown pool — a `Direct` route
 //! (which asserted "no registered view rewrites this query"), an
 //! `Intersect` route (chosen only after that same failed whole-pool scan),
@@ -82,7 +83,7 @@ use std::time::{Duration, Instant};
 
 use xpv_core::{contained_rewriting_in, PlanningSession, RewriteAnswer, RewritePlanner};
 use xpv_intersect::{
-    answer_intersection_virtual, intersect_node_sets, plan_intersection_contained_in,
+    answer_intersection_virtual_flat, intersect_node_sets, plan_intersection_contained_in,
     plan_intersection_sig, IntersectConfig,
 };
 use xpv_maintain::{
@@ -113,6 +114,11 @@ impl ViewId {
     }
 }
 
+/// The registered views, in pool order. Entries are shared between
+/// snapshots: a writer builds a new slice of pointers and allocates a new
+/// entry only for a view whose answer set it changed.
+pub type ViewPool = Arc<[Arc<MaterializedView>]>;
+
 /// One **consistent** document + view-pool state. Readers clone the three
 /// `Arc`s under a brief read lock and then work lock-free; writers swap in
 /// a new snapshot (copy-on-write), so an answering thread can never observe
@@ -121,7 +127,7 @@ impl ViewId {
 #[derive(Clone, Debug)]
 struct StateSnapshot {
     doc: Arc<Tree>,
-    views: Arc<Vec<MaterializedView>>,
+    views: ViewPool,
     /// Stable id of each pool entry, parallel to `views`.
     ids: Arc<Vec<ViewId>>,
     /// Precomputed [`ViewSignature`] of each pool entry, parallel to
@@ -198,8 +204,9 @@ pub struct UpdateReport {
     pub edits_applied: usize,
     /// The document version after the batch.
     pub doc_version: u64,
-    /// Views whose stored state was touched at all (answer sets or
-    /// materialized subtree contents).
+    /// Views the batch touched at all: their answer set changed, or an
+    /// answer's subtree content changed in place (a non-empty
+    /// `ViewDelta`).
     pub views_refreshed: usize,
     /// Views whose answer **sets** changed (the routes depending on these
     /// were invalidated).
@@ -708,7 +715,7 @@ impl ShardedViewCache {
         ShardedViewCache {
             state: RwLock::new(StateSnapshot {
                 doc: Arc::new(doc),
-                views: Arc::new(Vec::new()),
+                views: Arc::new([]),
                 ids: Arc::new(Vec::new()),
                 sigs: Arc::new(Vec::new()),
                 flat,
@@ -916,12 +923,16 @@ impl ShardedViewCache {
 
     /// A snapshot of the registered views (copy-on-write: cheap `Arc`
     /// clone, never blocks answering threads).
-    pub fn views_snapshot(&self) -> Arc<Vec<MaterializedView>> {
+    pub fn views_snapshot(&self) -> ViewPool {
         Arc::clone(&self.read_state().views)
     }
 
     /// Materializes `def` over the document and registers it under `name`.
     /// Returns the number of answers materialized.
+    ///
+    /// The view's node set is computed by the flat matcher on the
+    /// snapshot's frozen document; the existing pool entries are shared
+    /// into the grown pool, not copied.
     ///
     /// Selectively invalidates the plan memo: only entries whose plan
     /// depends on the grown pool — `Direct` routes and whole-pool-scan
@@ -939,11 +950,9 @@ impl ShardedViewCache {
         let snap = self.snapshot();
         assert!(snap.views.iter().all(|v| v.name() != name), "duplicate view name {name:?}");
         let sig = ViewSignature::of(&def);
-        let view = MaterializedView::materialize(name, def, &snap.doc);
+        let view = Arc::new(MaterializedView::materialize(name, def, &snap.flat));
         let n = view.len();
-        let mut grown = Vec::with_capacity(snap.views.len() + 1);
-        grown.extend(snap.views.iter().cloned());
-        grown.push(view);
+        let grown: ViewPool = snap.views.iter().cloned().chain([view]).collect();
         let mut ids = Vec::with_capacity(snap.ids.len() + 1);
         ids.extend(snap.ids.iter().copied());
         ids.push(ViewId(self.next_view_id.fetch_add(1, Ordering::Relaxed)));
@@ -952,7 +961,7 @@ impl ShardedViewCache {
         sigs.push(sig);
         {
             let mut state = self.state.write().expect("cache state poisoned");
-            state.views = Arc::new(grown);
+            state.views = grown;
             state.ids = Arc::new(ids);
             state.sigs = Arc::new(sigs);
         }
@@ -985,7 +994,7 @@ impl ShardedViewCache {
         let Some(idx) = snap.views.iter().position(|v| v.name() == name) else {
             return false;
         };
-        let mut shrunk: Vec<MaterializedView> = snap.views.iter().cloned().collect();
+        let mut shrunk = snap.views.to_vec();
         shrunk.remove(idx);
         let mut ids: Vec<ViewId> = snap.ids.iter().copied().collect();
         let removed_id = ids.remove(idx);
@@ -993,7 +1002,7 @@ impl ShardedViewCache {
         sigs.remove(idx);
         {
             let mut state = self.state.write().expect("cache state poisoned");
-            state.views = Arc::new(shrunk);
+            state.views = shrunk.into();
             state.ids = Arc::new(ids);
             state.sigs = Arc::new(sigs);
         }
@@ -1026,11 +1035,11 @@ impl ShardedViewCache {
     }
 
     /// Applies a batch of document edits **transactionally** and keeps every
-    /// registered view's materialization exact: per edit, each view is
-    /// re-evaluated only against the edit's affected region (the ancestor
-    /// spine plus the touched subtree — see `xpv_maintain`) and its answer
-    /// sets are patched in place (bitset diff for the virtual form,
-    /// canonical-key diff for the subtree copies).
+    /// registered view's node set exact: each view is re-evaluated only
+    /// against the batch's affected regions (the ancestor spine plus the
+    /// touched subtree — see `xpv_maintain`) and its answer set is patched
+    /// by bitset diff. Only views whose answer set changed get a new pool
+    /// entry; the rest are shared into the new snapshot.
     ///
     /// Readers are never blocked behind the refresh: the whole maintenance
     /// run — edit application, region re-evaluation, view patching — works
@@ -1078,24 +1087,19 @@ impl ShardedViewCache {
             maintain_coalesced(&snap.doc, &mut doc, &defs, &mut answers, edits, width)?;
         drop(defs);
 
+        let refreshed = deltas.iter().filter(|d| !d.is_empty()).count();
         let mut changed: Vec<ViewId> = Vec::new();
-        let mut refreshed = 0usize;
-        let new_views = if deltas.iter().any(|d| !d.is_empty()) {
-            let mut views: Vec<MaterializedView> = (*snap.views).clone();
-            for (i, delta) in deltas.iter().enumerate() {
-                if delta.is_empty() {
-                    continue;
-                }
-                refreshed += 1;
-                views[i].apply_delta(&doc, &answers[i], delta);
-                if delta.answers_changed() {
-                    changed.push(snap.ids[i]);
-                }
+        let mut pool = Vec::with_capacity(snap.views.len());
+        for ((view, nodes), (delta, &id)) in
+            snap.views.iter().zip(answers).zip(deltas.iter().zip(snap.ids.iter()))
+        {
+            if delta.answers_changed() {
+                changed.push(id);
+                pool.push(Arc::new(view.apply_delta(nodes)));
+            } else {
+                pool.push(Arc::clone(view));
             }
-            Arc::new(views)
-        } else {
-            Arc::clone(&snap.views)
-        };
+        }
         // Publication: readers that observe the new document always
         // observe its matching flat snapshot (frozen above, with this
         // batch's tombstones masked out).
@@ -1105,7 +1109,7 @@ impl ShardedViewCache {
             // readers block for the `Arc` stores, never for maintenance.
             let mut state = self.state.write().expect("cache state poisoned");
             state.doc = new_doc;
-            state.views = new_views;
+            state.views = pool.into();
             state.flat = new_flat;
         }
         let doc_version = self.doc_version.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1657,7 +1661,7 @@ impl ShardedViewCache {
             PlannedRoute::ViaView(plan) => {
                 if let Some(index) = snap.resolve(plan.id, plan.hint) {
                     bump(&shard.stats.view_hits);
-                    return Some((views[index].apply_virtual(&plan.rewriting, &snap.doc), true));
+                    return Some((views[index].apply_virtual(&plan.rewriting, &snap.flat), true));
                 }
             }
             PlannedRoute::Intersect(plan) => {
@@ -1665,7 +1669,7 @@ impl ShardedViewCache {
                     bump(&shard.stats.intersect_hits);
                     let sets: Vec<&[NodeId]> = indices.iter().map(|&i| views[i].nodes()).collect();
                     return Some((
-                        answer_intersection_virtual(&snap.doc, &sets, &plan.compensation),
+                        answer_intersection_virtual_flat(&snap.flat, &sets, &plan.compensation),
                         true,
                     ));
                 }
@@ -1677,7 +1681,7 @@ impl ShardedViewCache {
         for view in views.iter() {
             if let Some(r) = contained_rewriting_in(self.session.oracle(), query, view.definition())
             {
-                let nodes = view.apply_virtual(&r, &snap.doc);
+                let nodes = view.apply_virtual(&r, &snap.flat);
                 if best.as_ref().is_none_or(|b| nodes.len() > b.len()) {
                     best = Some(nodes);
                 }
@@ -1692,7 +1696,8 @@ impl ShardedViewCache {
                 plan_intersection_contained_in(&self.session, query, &pool, &self.intersect_cfg);
             if let Some(answer) = answer {
                 let sets: Vec<&[NodeId]> = answer.views.iter().map(|&i| views[i].nodes()).collect();
-                let nodes = answer_intersection_virtual(&snap.doc, &sets, &answer.compensation);
+                let nodes =
+                    answer_intersection_virtual_flat(&snap.flat, &sets, &answer.compensation);
                 if answer.equivalent {
                     // Possible only when the route memo predates the pool or
                     // ablation state; the answer is complete regardless.
@@ -2168,6 +2173,36 @@ mod tests {
         assert_eq!(cache.doc_version(), 0);
         assert_eq!(cache.answer(&q).nodes, before);
         assert_eq!(cache.stats().updates_applied, 0);
+    }
+
+    #[test]
+    fn pool_entries_are_shared_between_snapshots() {
+        use xpv_maintain::Edit;
+
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("a", pat("site/region/item"));
+        let before = cache.views_snapshot();
+        cache.add_view("b", pat("site//keyword"));
+        let grown = cache.views_snapshot();
+        assert!(std::ptr::eq(before[0].nodes(), grown[0].nodes()), "add_view copied view a");
+
+        // A keyword grafted under an item changes b's answer set and only
+        // the content of one of a's answers: b gets a new entry, a keeps
+        // its entry.
+        let d = cache.document();
+        let item = d.children(d.children(d.root())[0])[1];
+        let graft = TreeBuilder::root("keyword", |_| {});
+        let report =
+            cache.apply_edits(&[Edit::InsertSubtree { parent: item, subtree: graft }]).unwrap();
+        assert_eq!((report.views_changed, report.views_refreshed), (1, 2));
+        let edited = cache.views_snapshot();
+        assert!(Arc::ptr_eq(&grown[0], &edited[0]), "apply_edits copied unchanged view a");
+        assert!(!Arc::ptr_eq(&grown[1], &edited[1]));
+        assert_eq!(edited[1].len(), grown[1].len() + 1);
+        assert_eq!(edited[1].nodes(), evaluate(&pat("site//keyword"), &cache.document()));
+
+        assert!(cache.remove_view("a"));
+        assert!(Arc::ptr_eq(&edited[1], &cache.views_snapshot()[0]), "remove_view copied b");
     }
 
     #[test]

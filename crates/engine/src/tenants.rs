@@ -3,7 +3,7 @@
 //! Every batch that reaches the
 //! [`AsyncCacheServer`](crate::AsyncCacheServer) — over the in-process
 //! transport or a socket connection — is submitted on behalf of a
-//! **tenant** (any string id), and [`TenantRegistry`]
+//! **tenant** (any string id), and `TenantRegistry`
 //! accumulates that tenant's lifetime counters. The registry is **sharded
 //! and atomic**: tenants hash onto `RwLock<HashMap>` shards whose values
 //! are `Arc`s of plain atomic counters, so the steady-state accounting

@@ -1,56 +1,42 @@
 //! Materialized views over XML documents.
 //!
 //! A materialized view (Section 2.4) is the precomputed result `V(t)` of
-//! applying a view pattern to a document. Two representations are provided:
+//! applying a view pattern to a document. The one stored form is the
+//! **virtual** one: the output-node set of `V` on `t`, computed by the flat
+//! matcher on the document's frozen [`FlatTree`] and keeping node
+//! identities. A rewriting `R` is then evaluated *anchored* at those nodes,
+//! which is exactly `R(V(t))` by Proposition 2.4 and never copies data.
 //!
-//! * **virtual** — the output-node set of `V` on `t`, keeping node
-//!   identities. A rewriting `R` is then evaluated *anchored* at those nodes,
-//!   which is exactly `R(V(t))` by Proposition 2.4 and never copies data;
-//! * **materialized** — independent subtree copies, the representation a
-//!   cache that ships results across a wire would use. Answers computed this
-//!   way are compared by value (canonical keys), since copies have no node
-//!   identity in the source document.
+//! The **materialized** form — independent subtree copies, what a cache
+//! shipping results across a wire would hold — is built on demand by
+//! [`MaterializedView::apply_materialized`] from the stored nodes. Answers
+//! computed that way are compared by value (canonical keys), since copies
+//! have no node identity in the source document.
 //!
-//! Both paths are tested to agree with direct evaluation whenever the planner
-//! hands us an equivalent rewriting.
+//! Both forms are tested to agree with direct evaluation whenever the
+//! planner hands us an equivalent rewriting.
 
-use xpv_maintain::ViewDelta;
-use xpv_model::{NodeId, Tree};
+use std::collections::HashSet;
+
+use xpv_model::{FlatTree, NodeId, Tree};
 use xpv_pattern::Pattern;
-use xpv_semantics::{evaluate, evaluate_anchored};
+use xpv_semantics::{evaluate, evaluate_anchored_flat, evaluate_flat};
 
-/// The value-level (canonical-key) description of how a maintenance delta
-/// changed a view's **materialized** representation: subtree copies have no
-/// node identity, so their diff is by value. Produced by
-/// [`MaterializedView::apply_delta`].
-#[derive(Clone, Debug, Default)]
-pub struct MaterializedDelta {
-    /// Canonical keys of subtree copies that disappeared (removed answers,
-    /// plus the pre-edit contents of refreshed copies).
-    pub removed_keys: Vec<String>,
-    /// Canonical keys of subtree copies that appeared (added answers, plus
-    /// the post-edit contents of refreshed copies).
-    pub added_keys: Vec<String>,
-    /// Copies rebuilt in place because the edit landed inside them
-    /// (membership unchanged, content changed).
-    pub refreshed: usize,
-}
-
-/// The precomputed result of a view over one document.
+/// The precomputed result of a view over one document: its output nodes.
 #[derive(Clone, Debug)]
 pub struct MaterializedView {
     name: String,
     def: Pattern,
     nodes: Vec<NodeId>,
-    trees: Vec<Tree>,
 }
 
 impl MaterializedView {
-    /// Evaluates `def` over `doc` and stores both representations.
-    pub fn materialize(name: impl Into<String>, def: Pattern, doc: &Tree) -> MaterializedView {
-        let nodes = evaluate(&def, doc);
-        let trees = nodes.iter().map(|&n| doc.subtree(n).0).collect();
-        MaterializedView { name: name.into(), def, nodes, trees }
+    /// Evaluates `def` over the frozen document `doc` and stores the
+    /// answer node set. Callers holding a [`Tree`] freeze it first
+    /// ([`FlatTree::freeze`]).
+    pub fn materialize(name: impl Into<String>, def: Pattern, doc: &FlatTree) -> MaterializedView {
+        let nodes = evaluate_flat(&def, doc);
+        MaterializedView { name: name.into(), def, nodes }
     }
 
     /// The view's name (cache key).
@@ -63,14 +49,9 @@ impl MaterializedView {
         &self.def
     }
 
-    /// `V(t)` as output nodes of the source document (virtual form).
+    /// `V(t)` as output nodes of the source document, ascending.
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
-    }
-
-    /// `V(t)` as independent subtree copies (materialized form).
-    pub fn trees(&self) -> &[Tree] {
-        &self.trees
     }
 
     /// Number of answers in the view.
@@ -83,70 +64,30 @@ impl MaterializedView {
         self.nodes.is_empty()
     }
 
-    /// Applies an incremental-maintenance delta: replaces the answer node
-    /// set with `new_nodes` (the maintainer's patched, ascending set) and
-    /// patches the subtree copies by diff — copies of surviving untouched
-    /// answers are **reused**, only added and retagged (content-changed)
-    /// answers are re-copied from the edited document. Returns the
-    /// canonical-key diff of the materialized representation.
-    pub fn apply_delta(
-        &mut self,
-        doc: &Tree,
-        new_nodes: &[NodeId],
-        delta: &ViewDelta,
-    ) -> MaterializedDelta {
-        let mut out = MaterializedDelta::default();
-        let mut old: std::collections::HashMap<NodeId, Tree> =
-            self.nodes.drain(..).zip(self.trees.drain(..)).collect();
-        for &gone in &delta.removed {
-            if let Some(tree) = old.remove(&gone) {
-                out.removed_keys.push(tree.canonical_key());
-            }
-        }
-        let retag: std::collections::HashSet<NodeId> = delta.retagged.iter().copied().collect();
-        self.nodes = new_nodes.to_vec();
-        self.trees = new_nodes
-            .iter()
-            .map(|&n| match old.remove(&n) {
-                Some(tree) if !retag.contains(&n) => tree,
-                Some(stale) => {
-                    // The edit landed inside this answer's subtree: rebuild
-                    // the copy and record the value transition.
-                    let fresh = doc.subtree(n).0;
-                    let (old_key, new_key) = (stale.canonical_key(), fresh.canonical_key());
-                    if old_key != new_key {
-                        out.removed_keys.push(old_key);
-                        out.added_keys.push(new_key);
-                    }
-                    out.refreshed += 1;
-                    fresh
-                }
-                None => {
-                    let fresh = doc.subtree(n).0;
-                    out.added_keys.push(fresh.canonical_key());
-                    fresh
-                }
-            })
-            .collect();
-        out.removed_keys.sort();
-        out.added_keys.sort();
-        out
+    /// The view after an incremental-maintenance delta: same name and
+    /// definition, with the answer set replaced by `new_nodes` (the
+    /// maintainer's patched, ascending set).
+    pub fn apply_delta(&self, new_nodes: Vec<NodeId>) -> MaterializedView {
+        MaterializedView { name: self.name.clone(), def: self.def.clone(), nodes: new_nodes }
     }
 
     /// Applies a rewriting to the view **virtually**: `R(V(t))` as output
-    /// nodes of the source document (Proposition 2.4's right-hand side).
-    pub fn apply_virtual(&self, r: &Pattern, doc: &Tree) -> Vec<NodeId> {
-        evaluate_anchored(r, doc, &self.nodes)
+    /// nodes of the source document (Proposition 2.4's right-hand side),
+    /// evaluated by the flat matcher anchored at the stored nodes.
+    pub fn apply_virtual(&self, r: &Pattern, doc: &FlatTree) -> Vec<NodeId> {
+        evaluate_anchored_flat(r, doc, &self.nodes)
     }
 
-    /// Applies a rewriting to the **materialized** copies: `R(V(t))` as a
-    /// set of result trees, deduplicated by value.
-    pub fn apply_materialized(&self, r: &Pattern) -> Vec<Tree> {
+    /// Applies a rewriting to **materialized** copies of the view's
+    /// answers, built on demand from `doc`: `R(V(t))` as a set of result
+    /// trees, deduplicated by value.
+    pub fn apply_materialized(&self, r: &Pattern, doc: &Tree) -> Vec<Tree> {
         let mut out: Vec<Tree> = Vec::new();
-        let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for u in &self.trees {
-            for o in evaluate(r, u) {
-                let (sub, _) = u.subtree(o);
+        let mut seen: HashSet<String> = HashSet::new();
+        for &n in &self.nodes {
+            let (copy, _) = doc.subtree(n);
+            for o in evaluate(r, &copy) {
+                let (sub, _) = copy.subtree(o);
                 if seen.insert(sub.canonical_key()) {
                     out.push(sub);
                 }
@@ -202,12 +143,16 @@ mod tests {
         })
     }
 
+    fn frozen(d: &Tree) -> FlatTree {
+        FlatTree::freeze(d)
+    }
+
     #[test]
     fn materialization_counts() {
         let d = doc();
-        let v = MaterializedView::materialize("books", pat("lib//book"), &d);
+        let v = MaterializedView::materialize("books", pat("lib//book"), &frozen(&d));
         assert_eq!(v.len(), 3);
-        assert_eq!(v.trees().len(), 3);
+        assert_eq!(v.nodes(), evaluate(&pat("lib//book"), &d).as_slice());
         assert!(!v.is_empty());
         assert_eq!(v.name(), "books");
     }
@@ -215,9 +160,10 @@ mod tests {
     #[test]
     fn virtual_application_matches_direct() {
         let d = doc();
-        let v = MaterializedView::materialize("books", pat("lib//book"), &d);
+        let ft = frozen(&d);
+        let v = MaterializedView::materialize("books", pat("lib//book"), &ft);
         // R = book/title applied to the view = lib//book/title directly.
-        let via_view = v.apply_virtual(&pat("book/title"), &d);
+        let via_view = v.apply_virtual(&pat("book/title"), &ft);
         let direct = evaluate(&pat("lib//book/title"), &d);
         assert_eq!(via_view, direct);
         assert_eq!(via_view.len(), 3);
@@ -226,10 +172,11 @@ mod tests {
     #[test]
     fn materialized_application_matches_by_value() {
         let d = doc();
-        let v = MaterializedView::materialize("books", pat("lib//book"), &d);
+        let ft = frozen(&d);
+        let v = MaterializedView::materialize("books", pat("lib//book"), &ft);
         let r = pat("book[author]/title");
-        let via_nodes = v.apply_virtual(&r, &d);
-        let via_trees = v.apply_materialized(&r);
+        let via_nodes = v.apply_virtual(&r, &ft);
+        let via_trees = v.apply_materialized(&r, &d);
         let mut tree_keys: Vec<String> = via_trees.iter().map(Tree::canonical_key).collect();
         tree_keys.sort();
         assert_eq!(answer_value_set(&d, &via_nodes), tree_keys);
@@ -238,21 +185,23 @@ mod tests {
     #[test]
     fn empty_view_yields_empty_answers() {
         let d = doc();
-        let v = MaterializedView::materialize("none", pat("lib/book"), &d);
+        let ft = frozen(&d);
+        let v = MaterializedView::materialize("none", pat("lib/book"), &ft);
         assert!(v.is_empty());
-        assert!(v.apply_virtual(&pat("book/title"), &d).is_empty());
-        assert!(v.apply_materialized(&pat("book/title")).is_empty());
+        assert!(v.apply_virtual(&pat("book/title"), &ft).is_empty());
+        assert!(v.apply_materialized(&pat("book/title"), &d).is_empty());
     }
 
     #[test]
-    fn apply_delta_reuses_untouched_copies_and_refreshes_retagged() {
+    fn apply_delta_takes_the_patched_node_set() {
         let mut d = doc();
-        let mut v = MaterializedView::materialize("books", pat("lib//book"), &d);
+        let v = MaterializedView::materialize("books", pat("lib//book"), &frozen(&d));
         assert_eq!(v.len(), 3);
         let old_first = v.nodes()[0];
 
         // Simulate a maintainer outcome: a new book appended under the
-        // first shelf, and the first book's content edited in place.
+        // first shelf, and the first book's content edited in place (a
+        // retag: membership unchanged).
         let shelf = d.children(d.root())[0];
         let extra = TreeBuilder::root("book", |b| {
             b.leaf("title");
@@ -262,34 +211,29 @@ mod tests {
         let mut new_nodes: Vec<NodeId> = v.nodes().to_vec();
         new_nodes.push(new_book);
         new_nodes.sort();
-        let delta = xpv_maintain::ViewDelta {
-            removed: vec![],
-            added: vec![new_book],
-            retagged: vec![old_first],
-        };
-        let mat = v.apply_delta(&d, &new_nodes, &delta);
-        assert_eq!(v.len(), 4);
-        assert_eq!(mat.refreshed, 1);
-        assert_eq!(mat.added_keys.len(), 2, "one genuinely new copy + one refreshed content");
-        assert_eq!(mat.removed_keys.len(), 1, "the refreshed copy's old content");
-        // Every stored copy now matches a fresh materialization by value.
-        let fresh = MaterializedView::materialize("books", pat("lib//book"), &d);
-        let keys = |mv: &MaterializedView| {
-            let mut ks: Vec<String> = mv.trees().iter().map(Tree::canonical_key).collect();
-            ks.sort();
-            ks
-        };
-        assert_eq!(keys(&v), keys(&fresh));
-        assert_eq!(v.nodes(), fresh.nodes());
+        let patched = v.apply_delta(new_nodes);
+        assert_eq!(patched.len(), 4);
+        assert_eq!(patched.name(), "books");
+        assert_eq!(patched.definition().to_string(), v.definition().to_string());
+        // The patched set equals a fresh materialization by node identity,
+        // and the retagged answer's new content is what on-demand copies
+        // see.
+        let fresh = MaterializedView::materialize("books", pat("lib//book"), &frozen(&d));
+        assert_eq!(patched.nodes(), fresh.nodes());
+        assert_eq!(patched.nodes(), evaluate(&pat("lib//book"), &d).as_slice());
+        let isbn = patched.apply_materialized(&pat("book/isbn"), &d);
+        assert_eq!(isbn.len(), 1);
+        assert_eq!(v.len(), 3, "the source view is left as it was");
     }
 
     #[test]
     fn view_with_branch_condition() {
         let d = doc();
+        let ft = frozen(&d);
         // Books having an author.
-        let v = MaterializedView::materialize("authored", pat("lib//book[author]"), &d);
+        let v = MaterializedView::materialize("authored", pat("lib//book[author]"), &ft);
         assert_eq!(v.len(), 2);
-        let titles = v.apply_virtual(&pat("book/title"), &d);
+        let titles = v.apply_virtual(&pat("book/title"), &ft);
         assert_eq!(titles.len(), 2);
     }
 }

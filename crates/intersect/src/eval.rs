@@ -1,15 +1,15 @@
 //! Evaluating a compensation over the intersection of materialized views.
 //!
-//! Two representations mirror `xpv_engine::MaterializedView`:
+//! Two representations, as for a single view:
 //!
 //! * **virtual** — each view is an output-*node* set over the shared
-//!   document; the intersection is a [`BitSet`] AND over `NodeId`s and the
-//!   compensation is evaluated *anchored* at the surviving nodes (never
-//!   copies data);
-//! * **materialized** — each view is a set of independent subtree copies;
-//!   copies have no node identity, so the intersection is by value
-//!   (canonical keys) and answers are compared by value, exactly like
-//!   `MaterializedView::apply_materialized`.
+//!   document (the one form `xpv_engine::MaterializedView` stores); the
+//!   intersection is a [`BitSet`] AND over `NodeId`s and the compensation
+//!   is evaluated *anchored* at the surviving nodes (never copies data);
+//! * **materialized** — each view is a set of independent subtree copies
+//!   (what `MaterializedView::apply_materialized` builds on demand); copies
+//!   have no node identity, so the intersection is by value (canonical
+//!   keys) and answers are compared by value.
 
 use std::collections::HashSet;
 

@@ -148,7 +148,8 @@ pub struct CoalescedPlan {
     /// The per-view spine decompositions (reusable by the region scanner).
     pub infos: Vec<SpineInfo>,
     /// Live nodes on some edit's spine: surviving answers in here had their
-    /// subtree **content** changed and must refresh materialized copies.
+    /// subtree **content** changed (reported as `ViewDelta::retagged`; a
+    /// by-value copy taken before the batch is stale).
     /// Identical for every view (the per-edit maintainer marks every spine
     /// into every view's set too; membership is filtered per view at delta
     /// time).

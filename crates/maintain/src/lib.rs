@@ -70,11 +70,13 @@
 //! spine-reachability dynamic program a full evaluation would, but only
 //! down one subtree, with branch matching memoized. Answers outside the
 //! region are kept verbatim (minus tombstoned nodes); answers inside are
-//! replaced by the fresh region results — a bitset diff. Materialized
-//! (subtree-copy) representations additionally refresh the copies of
-//! surviving answers that lie on the edit's ancestor spine (their *content*
-//! changed even though their membership did not) — a canonical-key diff
-//! handled by the engine's `MaterializedView::apply_delta`.
+//! replaced by the fresh region results — a bitset diff. Surviving answers
+//! that lie on an edit's ancestor spine are reported as *retagged*: their
+//! content changed even though their membership did not. The engine stores
+//! each view as its node set only, so a retag leaves the stored view as it
+//! is (it counts toward `UpdateReport::views_refreshed`); by-value copies
+//! (`MaterializedView::apply_materialized`) are built on demand from the
+//! current document and so always read the new content.
 //!
 //! The property suite (`tests/maintain_properties.rs`) checks incremental ≡
 //! full re-materialization on randomized documents, view pools, and edit

@@ -24,9 +24,8 @@
 //! that use no wildcard) are skipped outright — the common case under a
 //! Zipf-skewed edit stream. Either way the maintainer reports which
 //! surviving answers had their subtree **content** changed (the edit point
-//! lies inside their copy), so materialized representations can refresh
-//! exactly those subtree copies (a canonical-key diff rather than a full
-//! re-copy).
+//! lies inside their subtree), so a holder of by-value copies knows exactly
+//! which copies went stale.
 
 use std::collections::HashSet;
 
@@ -62,7 +61,7 @@ pub struct ViewDelta {
     /// Answer nodes gained by the batch (ascending).
     pub added: Vec<NodeId>,
     /// Surviving answer nodes whose subtree **content** changed (ascending):
-    /// their virtual form is intact, but materialized copies are stale.
+    /// their node identity is intact, but by-value copies are stale.
     pub retagged: Vec<NodeId>,
 }
 
@@ -218,8 +217,8 @@ pub fn maintain_views(
             stats.full_recomputes += 1;
             *ans = evaluate(def, doc);
         }
-        // The baseline refreshes every materialized copy: retag all
-        // survivors.
+        // The baseline treats every survivor's content as changed: retag
+        // all survivors.
         let retag_all: Vec<HashSet<NodeId>> =
             answers.iter().map(|a| a.iter().copied().collect()).collect();
         let deltas = finish_deltas(doc, &saved, answers, |i| retag_all[i].clone());

@@ -1,5 +1,5 @@
 //! Nonblocking TCP / Unix-domain streams and listeners driven by the
-//! [`Reactor`](crate::reactor::Reactor).
+//! [`Reactor`].
 //!
 //! [`AsyncStream`] wraps a nonblocking `std` socket registered with the
 //! reactor. All I/O methods take `&self` — `&TcpStream` / `&UnixStream`

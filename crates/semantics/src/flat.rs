@@ -406,7 +406,7 @@ impl FlatSpine {
 ///   are exact for in-region images;
 /// * the **path part** (proper ancestors of the region root, whose branch
 ///   witnesses may live outside the region) uses the lazy memoized
-///   [`FlatSubMatcher`] instead — `O(depth)` nodes, not `O(n)`;
+///   `FlatSubMatcher` instead — `O(depth)` nodes, not `O(n)`;
 /// * the in-region reachability sweep is run per spine position with
 ///   word-level set operations, exploiting the parents-precede-children
 ///   slot order for the `Descendant` closure.

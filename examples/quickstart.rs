@@ -5,6 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use xpath_views::model::FlatTree;
 use xpath_views::prelude::*;
 
 fn main() {
@@ -47,9 +48,11 @@ fn main() {
     println!("verified:  R ∘ V = {composed}  ≡  P = {query}");
 
     // 3. Materialize the view and answer the query from it.
-    let materialized = MaterializedView::materialize("books", view, &doc);
-    println!("view 'books' materialized: {} subtree(s)", materialized.len());
-    let via_view = materialized.apply_virtual(&rewriting, &doc);
+    //    A view stores its answer nodes, computed on the frozen document.
+    let flat = FlatTree::freeze(&doc);
+    let materialized = MaterializedView::materialize("books", view, &flat);
+    println!("view 'books' materialized: {} answer node(s)", materialized.len());
+    let via_view = materialized.apply_virtual(&rewriting, &flat);
     let direct = evaluate(&query, &doc);
     assert_eq!(via_view, direct);
     println!(

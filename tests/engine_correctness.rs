@@ -4,7 +4,8 @@
 
 mod common;
 
-use xpath_views::engine::Route;
+use xpath_views::engine::{answer_value_set, Route};
+use xpath_views::model::FlatTree;
 use xpath_views::prelude::*;
 use xpath_views::workload::{bib_catalog, bib_doc, site_catalog, site_doc, Fragment};
 
@@ -59,15 +60,15 @@ fn random_views_and_queries_agree_with_direct() {
 
 #[test]
 fn materialized_and_virtual_agree_by_value() {
-    use xpath_views::engine::answer_value_set;
     for seed in 0..20u64 {
         let (q, v) = instance_from_seed(seed * 17 + 3, Fragment::Full);
         let doc = tree_from_seed(seed ^ 0xF0F0, 40);
         let planner = xpath_views::rewrite::RewritePlanner::without_fallback();
         if let RewriteAnswer::Rewriting(rw) = planner.decide(&q, &v) {
-            let view = MaterializedView::materialize("v", v, &doc);
-            let virt = view.apply_virtual(rw.pattern(), &doc);
-            let mat = view.apply_materialized(rw.pattern());
+            let flat = FlatTree::freeze(&doc);
+            let view = MaterializedView::materialize("v", v, &flat);
+            let virt = view.apply_virtual(rw.pattern(), &flat);
+            let mat = view.apply_materialized(rw.pattern(), &doc);
             let mut mat_keys: Vec<String> =
                 mat.iter().map(xpath_views::model::Tree::canonical_key).collect();
             mat_keys.sort();
@@ -82,10 +83,13 @@ fn cache_view_results_match_definition_semantics() {
     // The materialized node set is exactly evaluate(def, doc).
     let doc = site_doc(3, 5, 1);
     let def = parse_xpath("site//item[bids]").unwrap();
-    let view = MaterializedView::materialize("hot", def.clone(), &doc);
+    let view = MaterializedView::materialize("hot", def.clone(), &FlatTree::freeze(&doc));
     assert_eq!(view.nodes(), evaluate(&def, &doc).as_slice());
-    // And the copies are isomorphic to the source subtrees.
-    for (n, copy) in view.nodes().iter().zip(view.trees()) {
-        assert!(doc.subtree(*n).0.structurally_eq(copy));
-    }
+    // And the by-value copies built on demand are the source subtrees: the
+    // identity rewriting returns one copy per distinct answer value.
+    let copies = view.apply_materialized(&parse_xpath("item").unwrap(), &doc);
+    let mut copy_keys: Vec<String> = copies.iter().map(Tree::canonical_key).collect();
+    copy_keys.sort();
+    assert_eq!(copy_keys, answer_value_set(&doc, view.nodes()));
+    assert!(!copies.is_empty());
 }

@@ -20,6 +20,7 @@ use xpath_views::engine::{
     answer_value_set, Edit, MaterializedView, Route, ShardedViewCache, ViewCache,
 };
 use xpath_views::maintain::{maintain_views, MaintainMode};
+use xpath_views::model::FlatTree;
 use xpath_views::prelude::*;
 use xpath_views::workload::{
     catalog_zipf_stream, edit_batches, edit_stream, edit_stream_clustered, site_catalog, site_doc,
@@ -155,91 +156,118 @@ proptest! {
         }
     }
 
-    /// Materialized subtree copies patched through coalesced deltas stay
-    /// value-identical to a fresh materialization of the post-batch tree.
+    /// Views patched with the coalesced maintainer's node sets equal a
+    /// fresh `Tree`-evaluator run on the post-batch tree, by node identity
+    /// and by value.
     #[test]
     fn coalesced_materialized_copies_match_fresh(
         tseed in any::<u64>(),
         vseed in any::<u64>(),
         eseed in any::<u64>(),
     ) {
-        let doc = tree_from_seed(tseed, 28);
-        let defs = defs_from_seed(vseed);
-        let def_refs: Vec<&Pattern> = defs.iter().collect();
-        let edits = edit_stream(&doc, 16, mix_from_seed(eseed), eseed);
-
-        let mut views: Vec<MaterializedView> = defs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| MaterializedView::materialize(format!("v{i}"), d.clone(), &doc))
-            .collect();
-        let mut doc_co = doc.clone();
-        let mut answers: Vec<Vec<NodeId>> =
-            views.iter().map(|v| v.nodes().to_vec()).collect();
-        let (deltas, _) = maintain_views(
-            &mut doc_co, &def_refs, &mut answers, &edits, MaintainMode::Coalesced,
-        ).expect("valid stream");
-        for ((view, delta), ans) in views.iter_mut().zip(&deltas).zip(&answers) {
-            view.apply_delta(&doc_co, ans, delta);
-        }
-        for (view, def) in views.iter().zip(&defs) {
-            let fresh = MaterializedView::materialize("fresh", def.clone(), &doc_co);
-            prop_assert_eq!(view.nodes(), fresh.nodes());
-            let keys = |mv: &MaterializedView| {
-                let mut ks: Vec<String> =
-                    mv.trees().iter().map(|t| t.canonical_key()).collect();
-                ks.sort();
-                ks
-            };
-            prop_assert_eq!(
-                keys(view), keys(&fresh),
-                "coalesced materialized copies diverged for view {}", def
-            );
-        }
+        check_patched_views_match_fresh(tseed, vseed, eseed, MaintainMode::Coalesced)?;
     }
 
-    /// The materialized (subtree-copy) representation stays value-identical
-    /// to a fresh materialization when patched through `apply_delta`.
+    /// The same contract for views patched with the per-edit incremental
+    /// maintainer's node sets.
     #[test]
     fn materialized_copies_match_fresh_materialization(
         tseed in any::<u64>(),
         vseed in any::<u64>(),
         eseed in any::<u64>(),
     ) {
-        let doc = tree_from_seed(tseed, 28);
-        let defs = defs_from_seed(vseed);
-        let def_refs: Vec<&Pattern> = defs.iter().collect();
-        let edits = edit_stream(&doc, 16, mix_from_seed(eseed), eseed);
+        check_patched_views_match_fresh(tseed, vseed, eseed, MaintainMode::Incremental)?;
+    }
+}
 
-        let mut views: Vec<MaterializedView> = defs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| MaterializedView::materialize(format!("v{i}"), d.clone(), &doc))
-            .collect();
-        let mut doc_inc = doc.clone();
-        let mut answers: Vec<Vec<NodeId>> =
-            views.iter().map(|v| v.nodes().to_vec()).collect();
-        let (deltas, _) = maintain_views(
-            &mut doc_inc, &def_refs, &mut answers, &edits, MaintainMode::Incremental,
-        ).expect("valid stream");
-        for ((view, delta), ans) in views.iter_mut().zip(&deltas).zip(&answers) {
-            view.apply_delta(&doc_inc, ans, delta);
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `add_view` materializes with the flat matcher on the snapshot's
+    /// frozen document: every stored node set equals the `Tree`
+    /// evaluator's answer on the cached document, after registration and
+    /// after each batch of a random edit stream.
+    #[test]
+    fn flat_materialization_matches_tree_oracle(
+        tseed in any::<u64>(),
+        vseed in any::<u64>(),
+        eseed in any::<u64>(),
+    ) {
+        let doc = tree_from_seed(tseed, 32);
+        let defs = defs_from_seed(vseed);
+        let edits = edit_stream(&doc, 12, mix_from_seed(eseed), eseed);
+        let cache = ShardedViewCache::new(doc);
+        for (i, def) in defs.iter().enumerate() {
+            cache.add_view(&format!("v{i}"), def.clone());
         }
-        for (view, def) in views.iter().zip(&defs) {
-            let fresh = MaterializedView::materialize("fresh", def.clone(), &doc_inc);
-            prop_assert_eq!(view.nodes(), fresh.nodes());
-            let keys = |mv: &MaterializedView| {
-                let mut ks: Vec<String> =
-                    mv.trees().iter().map(|t| t.canonical_key()).collect();
-                ks.sort();
-                ks
-            };
-            prop_assert_eq!(
-                keys(view), keys(&fresh),
-                "materialized copies diverged for view {}", def
-            );
+        check_pool_against_tree_oracle(&cache, &defs, "add_view")?;
+        for batch in edit_batches(&edits, 3) {
+            cache.apply_edits(&batch).expect("valid stream");
+            check_pool_against_tree_oracle(&cache, &defs, "apply_edits")?;
         }
     }
+}
+
+/// `views_snapshot()[i].nodes() == evaluate(defs[i], cache.document())`
+/// for every registered view.
+fn check_pool_against_tree_oracle(
+    cache: &ShardedViewCache,
+    defs: &[Pattern],
+    after: &str,
+) -> Result<(), TestCaseError> {
+    let doc = cache.document();
+    let views = cache.views_snapshot();
+    prop_assert_eq!(views.len(), defs.len());
+    for (view, def) in views.iter().zip(defs) {
+        let want = evaluate(def, &doc);
+        prop_assert_eq!(
+            view.nodes(),
+            want.as_slice(),
+            "view {} diverged from the Tree evaluator after {}",
+            def,
+            after
+        );
+    }
+    Ok(())
+}
+
+/// Materializes three seeded views, maintains them through a 16-edit
+/// stream in `mode`, patches each with `apply_delta`, and compares every
+/// patched view against `evaluate(def, &edited_doc)`: the same nodes, and
+/// the same value set under `answer_value_set`.
+fn check_patched_views_match_fresh(
+    tseed: u64,
+    vseed: u64,
+    eseed: u64,
+    mode: MaintainMode,
+) -> Result<(), TestCaseError> {
+    let doc = tree_from_seed(tseed, 28);
+    let defs = defs_from_seed(vseed);
+    let def_refs: Vec<&Pattern> = defs.iter().collect();
+    let edits = edit_stream(&doc, 16, mix_from_seed(eseed), eseed);
+
+    let flat = FlatTree::freeze(&doc);
+    let views: Vec<MaterializedView> = defs
+        .iter()
+        .enumerate()
+        .map(|(i, d)| MaterializedView::materialize(format!("v{i}"), d.clone(), &flat))
+        .collect();
+    let mut edited = doc.clone();
+    let mut answers: Vec<Vec<NodeId>> = views.iter().map(|v| v.nodes().to_vec()).collect();
+    maintain_views(&mut edited, &def_refs, &mut answers, &edits, mode).expect("valid stream");
+    for ((view, ans), def) in views.iter().zip(answers).zip(&defs) {
+        let patched = view.apply_delta(ans);
+        let fresh = evaluate(def, &edited);
+        prop_assert_eq!(patched.nodes(), fresh.as_slice(), "{:?} nodes diverged for {}", mode, def);
+        prop_assert_eq!(
+            answer_value_set(&edited, patched.nodes()),
+            answer_value_set(&edited, &fresh),
+            "{:?} values diverged for view {}",
+            mode,
+            def
+        );
+    }
+    Ok(())
 }
 
 /// Engine-level: after edits, every cached answer equals direct evaluation,
